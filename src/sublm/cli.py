@@ -95,6 +95,18 @@ def _vocabs_for(config: TrainConfig, segmenter: Segmenter):
     raise ConfigError("config needs either vocab_dir or a train corpus")
 
 
+def _training_data(config: TrainConfig):
+    """Config -> (vocabs, corpus with the encoded train and valid streams)."""
+    if not config.train:
+        raise ConfigError("config key 'train' (training corpus path) is required")
+    seg = _segmenter_for(config)
+    vocabs = _vocabs_for(config, seg)
+    texts = {"train": _read(config.train)}
+    if config.valid:
+        texts["valid"] = _read(config.valid)
+    return vocabs, encode_corpus(texts, vocabs, seg)
+
+
 def cmd_syllabify(args) -> int:
     seg = make_segmenter(args.mode, args.patterns, args.exceptions, args.overrides)
     for line in sys.stdin:
@@ -119,14 +131,7 @@ def cmd_train(args) -> int:
     config = _resolve_config_paths(load_config(args.config), args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    if not config.train:
-        raise ConfigError("config key 'train' (training corpus path) is required")
-    seg = _segmenter_for(config)
-    vocabs = _vocabs_for(config, seg)
-    texts = {"train": _read(config.train)}
-    if config.valid:
-        texts["valid"] = _read(config.valid)
-    corpus = encode_corpus(texts, vocabs, seg)
+    vocabs, corpus = _training_data(config)
 
     log_file = open(args.log, "w", encoding="utf-8") if args.log else None
 
@@ -180,14 +185,7 @@ def cmd_params(args) -> int:
 
 def cmd_tune(args) -> int:
     config = _resolve_config_paths(load_config(args.config), args.config)
-    if not config.train:
-        raise ConfigError("config key 'train' (training corpus path) is required")
-    seg = _segmenter_for(config)
-    vocabs = _vocabs_for(config, seg)
-    texts = {"train": _read(config.train)}
-    if config.valid:
-        texts["valid"] = _read(config.valid)
-    corpus = encode_corpus(texts, vocabs, seg)
+    vocabs, corpus = _training_data(config)
     ranked = random_search(config, budget=args.budget, trials=args.trials,
                            vocabs=vocabs, corpus=corpus, seed=args.seed,
                            tolerance=args.tolerance,

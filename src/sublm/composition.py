@@ -170,23 +170,13 @@ class SylLSTM(Composer):
         self.params.update({f"cell.{k}": v for k, v in self.cell.tensors().items()})
 
     def __call__(self, word_ids, rows, lengths):
-        rows = np.asarray(rows)
         lengths = np.asarray(lengths)
-        m = rows.shape[0]
-        d = self.config.d_w
-        dtype = self.e_s.data.dtype
-        h = Tensor(np.zeros((m, d)), dtype=dtype)
-        c = Tensor(np.zeros((m, d)), dtype=dtype)
-        for t in range(int(lengths.max())):
-            x_t = T.lookup(self.e_s, rows[:, t])
-            h_new, c_new = T.lstm_cell(x_t, h, c, self.cell)
-            active = (lengths > t).astype(dtype)[:, None]
-            if active.all():
-                h, c = h_new, c_new
-            else:
-                h = T.add(T.mul_array(h_new, active), T.mul_array(h, 1.0 - active))
-                c = T.add(T.mul_array(c_new, active), T.mul_array(c, 1.0 - active))
-        return h
+        m, steps = len(lengths), int(lengths.max())
+        x = T.lookup(self.e_s, np.asarray(rows)[:, :steps].T.reshape(-1))
+        zeros = np.zeros((m, self.config.d_w), dtype=self.e_s.data.dtype)
+        active = np.arange(steps)[:, None] < lengths
+        out, _, _ = T.lstm(x, zeros, zeros, self.cell, steps, active)
+        return T.slice_rows(out, (steps - 1) * m, steps * m)
 
 
 class SylCNN(Composer):

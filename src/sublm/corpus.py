@@ -198,10 +198,6 @@ def encode_corpus(texts: dict[str, str], vocabs: Vocabularies,
                          row_lengths=lengths, truncated_words=truncated)
 
 
-def decode(stream: np.ndarray, vocabs: Vocabularies) -> list[str]:
-    return [vocabs.id_to_word[i] for i in stream]
-
-
 def batch_stream(stream: np.ndarray, batch_size: int, steps: int):
     """Contiguous-lane batches for truncated BPTT.
 
@@ -220,10 +216,6 @@ def batch_stream(stream: np.ndarray, batch_size: int, steps: int):
     for j in range((lane_len - 1) // steps):
         lo = j * steps
         yield lanes[:, lo:lo + steps], lanes[:, lo + 1:lo + steps + 1], j > 0
-
-
-def batch_count(stream_len: int, batch_size: int, steps: int) -> int:
-    return (stream_len // batch_size - 1) // steps
 
 
 def eval_windows(stream: np.ndarray, steps: int):

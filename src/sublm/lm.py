@@ -18,7 +18,6 @@ import numpy as np
 from . import tensor as T
 from .composition import Composer
 from .corpus import EncodedCorpus, eval_windows
-from .errors import DimensionError
 from .tensor import Tensor
 
 log = logging.getLogger("sublm")
@@ -26,20 +25,20 @@ log = logging.getLogger("sublm")
 
 @dataclass
 class LMState:
-    """Per-layer (h, c) pairs, always detached from any recording."""
+    """Per-layer (h, c) arrays carried from one window into the next.
 
-    layers: list[tuple[Tensor, Tensor]]
+    They are plain (batch, d_lm) arrays, not tensors, so no gradient flows
+    across a window boundary.
+    """
+
+    layers: list[tuple[np.ndarray, np.ndarray]]
 
     @staticmethod
     def zeros(batch: int, d_lm: int, num_layers: int = 2,
               dtype=np.float64) -> "LMState":
-        return LMState([(Tensor(np.zeros((batch, d_lm)), dtype=dtype),
-                         Tensor(np.zeros((batch, d_lm)), dtype=dtype))
+        return LMState([(np.zeros((batch, d_lm), dtype=dtype),
+                         np.zeros((batch, d_lm), dtype=dtype))
                         for _ in range(num_layers)])
-
-    @property
-    def batch(self) -> int:
-        return self.layers[0][0].data.shape[0]
 
 
 class LanguageModel:
@@ -92,26 +91,14 @@ class LanguageModel:
         """Run the stacked LSTM over a time-major flat window.
 
         Output is (steps*batch, d_lm) with dropout already applied to the
-        hidden-to-output connection in train mode; the returned state is
-        detached for carrying into the next window.
+        hidden-to-output connection in train mode; the returned state holds
+        each layer's final (h, c) for carrying into the next window.
         """
-        total, in_dim = x.data.shape
-        if total % steps:
-            raise DimensionError(f"{total} rows do not split into {steps} steps")
-        batch = total // steps
-        if state.batch != batch:
-            raise DimensionError(f"state batch {state.batch} != window batch {batch}")
         new_state = []
         layer_in = x
-        for li, cell in enumerate(self.cells):
-            h, c = state.layers[li]
-            hs = []
-            for k in range(steps):
-                x_k = T.slice_rows(layer_in, k * batch, (k + 1) * batch)
-                h, c = T.lstm_cell(x_k, h, c, cell)
-                hs.append(h)
-            new_state.append((h.detach(), c.detach()))
-            layer_in = T.stack_rows(hs) if len(hs) > 1 else hs[0]
+        for cell, (h, c) in zip(self.cells, state.layers):
+            layer_in, h, c = T.lstm(layer_in, h, c, cell, steps)
+            new_state.append((h, c))
             if mode == "train" and self.dropout_rate > 0:
                 layer_in = T.dropout(layer_in, self.dropout_rate, mode="train", rng=rng)
         return layer_in, LMState(new_state)

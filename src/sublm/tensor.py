@@ -2,8 +2,12 @@
 
 Every operation computes its result eagerly with numpy and remembers its
 inputs together with a backward rule.  ``backward(loss)`` walks the recording
-in reverse topological order and accumulates gradients into ``.grad``;
-repeated calls accumulate additively until grads are cleared.
+in reverse topological order and accumulates gradients into the ``.grad`` of
+the leaf tensors it reaches (parameters, inputs); interior nodes keep none.
+Repeated calls accumulate additively until grads are cleared.  A whole LSTM
+layer over a window is one recorded op (:func:`lstm`) with its own
+backpropagation through time, so a window's recording does not grow with
+its length.
 
 Default precision is 64-bit; 32-bit is opt-in per tensor.  Reductions run in
 a fixed order, so results are bitwise reproducible for a fixed BLAS thread
@@ -38,12 +42,13 @@ _local = _Local()
 class Tensor:
     """A dense float array plus the recording needed for reverse-mode grads.
 
-    Leaf tensors (parameters, constants) have no parents.  Op outputs carry
-    their parent tensors and a backward rule; ``grad`` stays ``None`` until a
-    ``backward`` pass reaches the tensor.
+    Leaf tensors (parameters, constants) have no parents; their ``grad``
+    stays ``None`` until a ``backward`` pass reaches them.  Op outputs carry
+    their parent tensors and a backward rule, and never hold a ``grad``.
     """
 
-    __slots__ = ("data", "grad", "node_id", "op", "meta", "_parents", "_backward")
+    __slots__ = ("data", "grad", "node_id", "op", "meta", "_parents", "_backward",
+                 "__weakref__")
 
     def __init__(self, data, dtype=None):
         arr = np.asarray(data)
@@ -69,13 +74,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        """A leaf tensor sharing this tensor's data, cut from the recording."""
-        return Tensor(self.data, dtype=self.data.dtype)
-
-    def zero_grad(self):
-        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self.op!r})"
@@ -106,14 +104,13 @@ class Tensor:
 class Graph:
     """Execution context for one forward/backward pass.
 
-    Holds the ordered op records (op name, input node ids, output node id)
-    and the rng used by stochastic ops such as dropout.  Re-running a forward
-    pass under a graph with identical rng state reproduces outputs bitwise.
+    Holds the rng used by stochastic ops such as dropout.  Re-running a
+    forward pass under a graph with identical rng state reproduces outputs
+    bitwise.
     """
 
     def __init__(self, seed=None, rng=None):
         self.rng = rng if rng is not None else np.random.default_rng(seed)
-        self.records: list[tuple[str, tuple[int, ...], int]] = []
 
     def __enter__(self):
         _local.graphs.append(self)
@@ -158,9 +155,6 @@ def custom_op(data, name: str, parents: Sequence[Tensor],
         out.op = name
         out._parents = tuple(parents)
         out._backward = backward
-        g = active_graph()
-        if g is not None:
-            g.records.append((name, tuple(p.node_id for p in parents), out.node_id))
     else:
         out.op = "leaf"
         out._parents = ()
@@ -169,10 +163,11 @@ def custom_op(data, name: str, parents: Sequence[Tensor],
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(tensor) into ``.grad`` of every reachable tensor.
+    """Accumulate d(loss)/d(leaf) into ``.grad`` of every reachable leaf.
 
-    ``loss`` must be scalar.  Calling twice without clearing grads adds the
-    two passes together.
+    ``loss`` must be scalar.  Interior nodes get no ``.grad``: their
+    gradients live only while the walk needs them.  Calling twice without
+    clearing grads adds the two passes together.
     """
     if loss.data.shape != ():
         raise ValueError(f"backward target must be scalar, got shape {loss.data.shape}")
@@ -201,9 +196,7 @@ def backward(loss: Tensor) -> None:
         entry = pending.pop(node.node_id, None)
         if entry is None:
             continue
-        g = entry[1]
-        node.grad = g if node.grad is None else node.grad + g
-        for parent, contrib in zip(node._parents, node._backward(g)):
+        for parent, contrib in zip(node._parents, node._backward(entry[1])):
             if contrib is None:
                 continue
             buf = pending.get(parent.node_id)
@@ -216,11 +209,6 @@ def backward(loss: Tensor) -> None:
                 np.add(buf[1], contrib, out=buf[1])
     for node, g in pending.values():  # remaining entries are leaves
         node.grad = g if node.grad is None else node.grad + g
-
-
-def zero_grads(tensors) -> None:
-    for t in tensors:
-        t.grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -289,13 +277,6 @@ def relu(a: Tensor) -> Tensor:
     return custom_op(np.maximum(x, 0.0), "relu", (a,), lambda g: (g * (x > 0),))
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    av, bv = a.data, b.data
-    if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
-        raise DimensionError(f"matmul: shapes {av.shape} and {bv.shape} incompatible")
-    return custom_op(av @ bv, "matmul", (a, b), lambda g: (g @ bv.T, av.T @ g))
-
-
 def affine(x: Tensor, w: Tensor, b_vec: Tensor) -> Tensor:
     """y = x @ w + b_vec, bias broadcast over rows."""
     xv, wv, bv = x.data, w.data, b_vec.data
@@ -345,24 +326,6 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
             buf[start:stop] += g
         return (scatter,)
     return custom_op(a.data[start:stop], "slice_rows", (a,), bw)
-
-
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    def bw(g):
-        def scatter(buf):
-            buf[:, start:stop] += g
-        return (scatter,)
-    return custom_op(a.data[:, start:stop], "slice_cols", (a,), bw)
-
-
-def stack_rows(tensors: Sequence[Tensor]) -> Tensor:
-    """Concatenate 2-D tensors along the first axis."""
-    counts = [t.data.shape[0] for t in tensors]
-    offs = np.concatenate([[0], np.cumsum(counts)])
-    out = np.concatenate([t.data for t in tensors], axis=0)
-    def bw(g):
-        return tuple(g[offs[i]:offs[i + 1]] for i in range(len(counts)))
-    return custom_op(out, "stack_rows", tuple(tensors), bw)
 
 
 def lookup(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -495,7 +458,7 @@ def dropout(x: Tensor, rate: float, mode: str = "train", rng=None) -> Tensor:
             raise ValueError("dropout in train mode needs an rng or an active Graph")
         rng = g.rng
     keep = 1.0 - rate
-    scale = (rng.random(x.data.shape) >= rate) / keep
+    scale = ((rng.random(x.data.shape) >= rate) / keep).astype(x.data.dtype, copy=False)
     return custom_op(x.data * scale, "dropout", (x,), lambda g_: (g_ * scale,))
 
 
@@ -556,25 +519,84 @@ class LSTMCellParams:
         )
 
 
-def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor,
-              params: LSTMCellParams) -> tuple[Tensor, Tensor]:
-    """One step of a standard 4-gate LSTM (no peepholes).
+def lstm(x: Tensor, h0: np.ndarray, c0: np.ndarray, params: LSTMCellParams,
+         steps: int, active: np.ndarray | None = None):
+    """A standard 4-gate LSTM (no peepholes) over a whole window, as one op.
 
-    c = sigmoid(f)*c_prev + sigmoid(i)*tanh(g);  h = sigmoid(o)*tanh(c).
+    ``x`` is time-major, (steps*batch, input_dim): row k*batch + j is lane
+    j at step k.  ``h0`` and ``c0`` are the (batch, hidden) starting state.
+    Each step computes c = sigmoid(f)*c_prev + sigmoid(i)*tanh(g) and
+    h = sigmoid(o)*tanh(c).  Where the optional (steps, batch) boolean mask
+    ``active`` is False, the lane keeps its previous h and c.
+
+    Returns ``(out, h, c)``: the (steps*batch, hidden) outputs as one
+    recorded tensor, and the final h and c as plain arrays, so no gradient
+    flows into the starting state.
     """
+    xv, wx, wh = x.data, params.wx.data, params.wh.data
     d = params.hidden_dim
-    if x.data.shape[0] != h_prev.data.shape[0] or h_prev.data.shape != c_prev.data.shape:
+    total = xv.shape[0]
+    if xv.ndim != 2 or xv.shape[1] != wx.shape[0] or total % steps:
         raise DimensionError(
-            f"lstm_cell: batch shapes disagree: x {x.data.shape}, "
-            f"h {h_prev.data.shape}, c {c_prev.data.shape}")
-    z = add(affine(x, params.wx, params.b), matmul(h_prev, params.wh))
-    i = sigmoid(slice_cols(z, 0, d))
-    f = sigmoid(slice_cols(z, d, 2 * d))
-    o = sigmoid(slice_cols(z, 2 * d, 3 * d))
-    g = tanh(slice_cols(z, 3 * d, 4 * d))
-    c = add(mul(f, c_prev), mul(i, g))
-    h = mul(o, tanh(c))
-    return h, c
+            f"lstm: input {xv.shape} is not {steps} steps of width {wx.shape[0]}")
+    batch = total // steps
+    if np.shape(h0) != (batch, d) or np.shape(c0) != (batch, d):
+        raise DimensionError(
+            f"lstm: state shapes h {np.shape(h0)}, c {np.shape(c0)} "
+            f"do not match batch {batch}, hidden {d}")
+    # all steps' input projections in one GEMM; each step then adds h @ wh
+    # and activates in place, so ``gates`` ends up holding i, f, o, g
+    gates = xv @ wx
+    gates += params.b.data
+    gates = gates.reshape(steps, batch, 4 * d)
+    hs = np.empty((steps + 1, batch, d), dtype=gates.dtype)
+    cs = np.empty_like(hs)
+    hs[0], cs[0] = h0, c0
+    for k in range(steps):
+        a = gates[k]
+        a += hs[k] @ wh
+        a[:, :3 * d] *= 0.5
+        np.tanh(a, out=a)
+        a[:, :3 * d] += 1.0  # sigmoid(z) = (1 + tanh(z/2)) / 2
+        a[:, :3 * d] *= 0.5
+        i, f, o, g = a[:, :d], a[:, d:2 * d], a[:, 2 * d:3 * d], a[:, 3 * d:]
+        c = f * cs[k] + i * g
+        h = o * np.tanh(c)
+        if active is not None:
+            c = np.where(active[k][:, None], c, cs[k])
+            h = np.where(active[k][:, None], h, hs[k])
+        hs[k + 1], cs[k + 1] = h, c
+
+    def bw(g_out):
+        g_out = g_out.reshape(steps, batch, d)
+        dz = np.empty_like(gates)
+        dh = np.zeros((batch, d), dtype=gates.dtype)
+        dc = np.zeros_like(dh)
+        for k in reversed(range(steps)):
+            dh = dh + g_out[k]
+            if active is not None:
+                live = active[k][:, None]
+                dh_frozen, dc_frozen = np.where(live, 0, dh), np.where(live, 0, dc)
+                dh, dc = np.where(live, dh, 0), np.where(live, dc, 0)
+            a = gates[k]
+            i, f, o, g = a[:, :d], a[:, d:2 * d], a[:, 2 * d:3 * d], a[:, 3 * d:]
+            tc = np.tanh(cs[k + 1])
+            dc = dc + dh * o * (1.0 - tc * tc)
+            dz[k, :, :d] = dc * g * i * (1.0 - i)
+            dz[k, :, d:2 * d] = dc * cs[k] * f * (1.0 - f)
+            dz[k, :, 2 * d:3 * d] = dh * tc * o * (1.0 - o)
+            dz[k, :, 3 * d:] = dc * i * (1.0 - g * g)
+            dc = dc * f
+            dh = dz[k] @ wh.T
+            if active is not None:
+                dh += dh_frozen
+                dc += dc_frozen
+        dz = dz.reshape(total, 4 * d)
+        return (dz @ wx.T, xv.T @ dz, hs[:-1].reshape(total, d).T @ dz, dz.sum(axis=0))
+
+    out = custom_op(hs[1:].reshape(total, d), "lstm",
+                    (x, params.wx, params.wh, params.b), bw)
+    return out, hs[-1].copy(), cs[-1].copy()
 
 
 def conv1d_max_over_time(seq: Tensor, banks, lengths=None) -> Tensor:

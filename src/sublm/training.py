@@ -21,7 +21,7 @@ from .composition import CompositionConfig, build_composer, uniform_init
 from .config import TrainConfig
 from .corpus import EncodedCorpus, Vocabularies, batch_stream
 from .errors import BudgetError, ConfigError, NonFiniteGradientError
-from .lm import (LanguageModel, LogUniformSampler, perplexity,
+from .lm import (LanguageModel, LogUniformSampler, _ppl, perplexity,
                  sample_count_for)
 
 log = logging.getLogger("sublm")
@@ -130,11 +130,6 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float = 5.0) -> flo
     return scale
 
 
-def safe_exp(x: float) -> float:
-    """exp() that saturates to inf instead of raising on overflow."""
-    return math.exp(x) if x < 700.0 else math.inf
-
-
 def next_lr(lr: float, val_ppl: float, best_ppl: float) -> float:
     """Halve when validation perplexity fails to improve on the best so far.
 
@@ -204,12 +199,13 @@ def train(config: TrainConfig, vocabs: Vocabularies, corpus: EncodedCorpus,
                     p.grad = None
                 total_nll += loss.item() * inputs.size
                 total_tokens += inputs.size
+                del loss  # frees this window's recording before the next forward pass
         except NonFiniteGradientError as err:
             log.warning("training diverged at epoch %d (%s); "
                         "returning the last good checkpoint", epoch, err)
             return _checkpoint(config, vocabs, best_epoch, best_val, best_arrays)
 
-        train_ppl = safe_exp(total_nll / total_tokens)
+        train_ppl = _ppl(total_nll, total_tokens)
         if valid_stream is not None:
             val_ppl = perplexity(model, valid_stream, corpus, steps=config.bptt)
         else:

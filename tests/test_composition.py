@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fdiff import check_grads, safe_instance
+from lstm_reference import lstm_step, lstm_steps
 from sublm import tensor as T
 from sublm.composition import (CompositionConfig, HighwayStack, build_composer,
                                uniform_init, zeros_init)
@@ -105,10 +106,21 @@ class TestSylLSTM:
         rows = np.array([[3, 0, 0, 0]])
         lengths = np.array([1])
         out = comp(np.array([0]), rows, lengths)
-        x = T.lookup(comp.e_s, np.array([3]))
-        zeros = T.Tensor(np.zeros((1, comp.config.d_w)))
-        h, _ = T.lstm_cell(x, zeros, zeros, comp.cell)
-        assert np.array_equal(out.data, h.data)
+        zeros = np.zeros((1, comp.config.d_w))
+        h, _ = lstm_step(comp.e_s.data[[3]], zeros, zeros,
+                         *(p.data for p in comp.cell.tensors().values()))
+        assert np.abs(out.data - h).max() < 1e-12
+
+    def test_each_word_matches_reference_over_its_subwords(self, rng):
+        comp = make("syl-lstm", rng)
+        _, rows, lengths = random_batch(rng, m=6)
+        out = comp(None, rows, lengths).data
+        weights = [p.data for p in comp.cell.tensors().values()]
+        for i, L in enumerate(lengths):
+            zeros = np.zeros((1, comp.config.d_w))
+            seq = comp.e_s.data[rows[i, :L]][:, None, :]
+            _, h, _ = lstm_steps(seq, zeros, zeros, *weights)
+            assert np.abs(out[i] - h[0]).max() < 1e-12
 
     def test_append_pad_bitwise_invariant(self, rng):
         comp = make("syl-lstm", rng)

@@ -80,7 +80,7 @@ class TestEncodeCorpus:
     def test_oov_words_become_unk(self, chars):
         v = C.build_vocabs("cat dog\n", chars)
         enc = C.encode_corpus({"test": "cat bird\n"}, v, chars)
-        decoded = C.decode(enc.streams["test"], v)
+        decoded = [v.id_to_word[i] for i in enc.streams["test"]]
         assert decoded == ["cat", C.UNK, C.EOS]
 
     def test_roundtrip_with_unks(self, chars, rng):
@@ -90,7 +90,7 @@ class TestEncodeCorpus:
         test = "w0 w1 zebra w2\nw3 yak\n"
         enc = C.encode_corpus({"test": test}, v, chars)
         expected = [w if w in v.word_to_id else C.UNK for w in C.tokenize(test)]
-        assert C.decode(enc.streams["test"], v) == expected
+        assert [v.id_to_word[i] for i in enc.streams["test"]] == expected
 
     def test_overlong_external_segmentation_truncates(self, caplog):
         # vocab built with 3-subword segmentations, then encoded with an
@@ -131,7 +131,7 @@ class TestBatchStream:
     def test_batch_count_formula(self, length, b, t):
         stream = np.arange(length)
         got = len(list(C.batch_stream(stream, b, t)))
-        assert got == (length // b - 1) // t == C.batch_count(length, b, t)
+        assert got == (length // b - 1) // t
 
     def test_too_short_names_minimum(self):
         with pytest.raises(ValueError) as exc:

@@ -29,21 +29,28 @@ def test_affine_wrt_all_inputs(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_lstm_cell_wrt_all_params(seed):
+    # the whole-window op, with every lane live and with lanes frozen by a mask
     rng = np.random.default_rng(seed)
-    p, d, b = 3, 4, 2
+    for masked in (False, True):
+        check_lstm_grads(rng, masked)
+
+
+def check_lstm_grads(rng, masked):
+    p, d, b, steps = 3, 4, 2, 3
     params = {
         "wx": t(rng, p, 4 * d, scale=0.5),
         "wh": t(rng, d, 4 * d, scale=0.5),
         "b": t(rng, 4 * d, scale=0.5),
-        "x": t(rng, b, p),
-        "h": t(rng, b, d, scale=0.5),
-        "c": t(rng, b, d, scale=0.5),
+        "x": t(rng, steps * b, p),
     }
     cell = T.LSTMCellParams(params["wx"], params["wh"], params["b"])
+    h0, c0 = rng.normal(scale=0.5, size=(b, d)), rng.normal(scale=0.5, size=(b, d))
+    active = rng.random((steps, b)) < 0.6 if masked else None
+    weights = rng.normal(size=(steps * b, d))
 
     def loss():
-        h, c = T.lstm_cell(params["x"], params["h"], params["c"], cell)
-        return T.tsum(T.add(h, c))
+        out, _, _ = T.lstm(params["x"], h0, c0, cell, steps, active)
+        return T.tsum(T.mul_array(out, weights))
 
     check_grads(loss, params)
 
@@ -124,8 +131,8 @@ def test_structural_ops(seed):
 
     def loss():
         cat = T.concat_cols([a, b])
-        stacked = T.stack_rows([T.slice_rows(cat, 0, 2), T.slice_rows(cat, 2, 4)])
-        return T.tmean(T.tanh(T.reshape(stacked, (2, 10))))
+        joined = T.concat_cols([T.slice_rows(cat, 0, 2), T.slice_rows(cat, 2, 4)])
+        return T.tmean(T.tanh(T.reshape(joined, (4, 5))))
 
     check_grads(loss, {"a": a, "b": b})
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fdiff import check_grads, safe_instance
+from lstm_reference import lstm_step, lstm_steps
 from sublm import tensor as T
 from sublm.composition import CompositionConfig, build_composer, uniform_init
 from sublm.corpus import EncodedCorpus
@@ -40,9 +41,50 @@ class TestForward:
         x = model.embed_window(ids, corpus)
         state = model.zero_state(2)
         h, _ = model.lm_forward(x, 1, state, mode="eval")
-        h1, c1 = T.lstm_cell(x, state.layers[0][0], state.layers[0][1], model.cells[0])
-        h2, _ = T.lstm_cell(h1, state.layers[1][0], state.layers[1][1], model.cells[1])
-        assert np.array_equal(h.data, h2.data)
+        seq = x.data
+        for cell, (h0, c0) in zip(model.cells, state.layers):
+            seq, _ = lstm_step(seq, h0, c0, *(p.data for p in cell.tensors().values()))
+        assert np.abs(h.data - seq).max() < 1e-12
+
+    def test_window_matches_reference_cells(self, rng):
+        model = toy_model(rng)
+        corpus = toy_corpus(rng)
+        ids = rng.integers(0, W_VOCAB, size=(2, 5))
+        x = model.embed_window(ids, corpus)
+        state = model.zero_state(2)
+        state.layers[0] = (rng.normal(size=(2, 5)), rng.normal(size=(2, 5)))
+        h, new_state = model.lm_forward(x, 5, state, mode="eval")
+        seq = x.data.reshape(5, 2, -1)
+        for li, (cell, (h0, c0)) in enumerate(zip(model.cells, state.layers)):
+            seq, h_ref, c_ref = lstm_steps(seq, h0, c0,
+                                           *(p.data for p in cell.tensors().values()))
+            assert np.abs(new_state.layers[li][0] - h_ref).max() < 1e-12
+            assert np.abs(new_state.layers[li][1] - c_ref).max() < 1e-12
+        assert np.abs(h.data - seq.reshape(10, -1)).max() < 1e-12
+
+    def test_recorded_nodes_do_not_grow_with_window_length(self, rng):
+        # one recorded op per LSTM layer, in the word LM and in the composer
+        init = uniform_init(rng, 0.3)
+        comp = build_composer(CompositionConfig(variant="syl-lstm", d_s=4, d_w=3, n=N),
+                              W_VOCAB, S_VOCAB, init=init)
+        model = LanguageModel(comp, d_lm=5, vocab_size=W_VOCAB, dropout_rate=0.5,
+                              init=init)
+        corpus = toy_corpus(rng)
+
+        def node_count(steps):
+            ids = rng.integers(0, W_VOCAB, size=(2, steps))
+            with T.Graph(seed=0) as g:
+                loss, _ = model.window_nll(ids, ids, corpus, model.zero_state(2),
+                                           mode="train", rng=g.rng)
+            seen, stack = set(), [loss]
+            while stack:
+                node = stack.pop()
+                if node._backward is not None and node.node_id not in seen:
+                    seen.add(node.node_id)
+                    stack.extend(node._parents)
+            return len(seen)
+
+        assert node_count(3) == node_count(30)
 
     def test_eval_twice_is_bitwise(self, rng):
         model = toy_model(rng, dropout=0.5)

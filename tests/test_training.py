@@ -1,13 +1,15 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from sublm import tensor as T
 from sublm.checkpoint import Checkpoint
 from sublm.config import TrainConfig, parse_config
-from sublm.corpus import build_vocabs, encode_corpus
+from sublm.corpus import batch_stream, build_vocabs, encode_corpus
 from sublm.errors import BudgetError, ConfigError, NonFiniteGradientError
-from sublm.lm import evaluate_stream, perplexity
+from sublm.lm import LanguageModel, evaluate_stream, perplexity
 from sublm.syllabify import Segmenter
 from sublm.training import (D_HW_RANGE, D_LM_RANGE, D_S_RANGE, ModelSizes,
                             build_model, check_budget, clip_global_norm,
@@ -248,6 +250,38 @@ class TestTrain:
         after, _ = model_from_checkpoint(Checkpoint.load(path), sizes)
         again = perplexity(after, corpus.streams["valid"], corpus, steps=cfg.bptt)
         assert again == ref  # bitwise identical arrays, identical evaluation
+
+    def test_previous_window_released_before_next_forward(self, monkeypatch):
+        vocabs, corpus = tiny_data()
+        losses = []
+        alive_at_start = []
+        original = LanguageModel.window_nll
+
+        def window_nll(self, *args, **kwargs):
+            alive_at_start.append(any(ref() is not None for ref in losses))
+            loss, state = original(self, *args, **kwargs)
+            losses.append(weakref.ref(loss))
+            return loss, state
+
+        monkeypatch.setattr(LanguageModel, "window_nll", window_nll)
+        train(tiny_config(max_epochs=1), vocabs, corpus)
+        assert len(alive_at_start) > 1 and not any(alive_at_start)
+
+    def test_f32_train_window_stays_float32(self):
+        vocabs, corpus = tiny_data()
+        cfg = tiny_config(variant="syl-concat", d_hw=10, precision="f32", dropout=0.5)
+        model = build_model(cfg, ModelSizes.from_vocabs(vocabs),
+                            rng=np.random.default_rng(0))
+        inputs, targets, _ = next(batch_stream(corpus.streams["train"], 4, 6))
+        rng = np.random.default_rng(1)
+        with T.Graph(rng=rng):
+            loss, state = model.window_nll(inputs, targets, corpus, model.zero_state(4),
+                                           mode="train", rng=rng)
+            T.backward(loss)
+        assert loss.data.dtype == np.float32
+        for name, p in model.params.items():
+            assert p.grad is not None and p.grad.dtype == np.float32, name
+        assert all(a.dtype == np.float32 for layer in state.layers for a in layer)
 
     def test_sampled_softmax_training_runs(self):
         vocabs, corpus = tiny_data()
