@@ -10,12 +10,14 @@ Saving and loading round-trips bit for bit.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import VocabMismatchError
+from .errors import ConfigError, VocabMismatchError
 
 MAGIC = b"SLM1"
 FORMAT_VERSION = 1
@@ -50,48 +52,63 @@ class Checkpoint:
                 f"(stored {self.vocab_hashes}, supplied {hashes})")
 
     def save(self, path) -> None:
+        """Write a temporary file beside ``path``, then rename it over ``path``."""
         header = json.dumps(self.header(), sort_keys=True).encode("utf-8")
-        with open(path, "wb") as f:
-            f.write(MAGIC)
-            f.write(struct.pack("<I", len(header)))
-            f.write(header)
-            f.write(struct.pack("<I", len(self.arrays)))
-            for name, arr in self.arrays.items():
-                tag = _TAGS[arr.dtype]
-                encoded = name.encode("utf-8")
-                f.write(struct.pack("<H", len(encoded)))
-                f.write(encoded)
-                f.write(tag)
-                f.write(struct.pack("<B", arr.ndim))
-                f.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-                f.write(np.ascontiguousarray(arr, dtype=_DTYPES[tag]).tobytes())
+        tmp = f"{os.fspath(path)}.tmp{os.getpid()}"
+        try:
+            with open(tmp, "wb") as f:
+                f.write(MAGIC)
+                f.write(struct.pack("<I", len(header)))
+                f.write(header)
+                f.write(struct.pack("<I", len(self.arrays)))
+                for name, arr in self.arrays.items():
+                    tag = _TAGS[arr.dtype]
+                    encoded = name.encode("utf-8")
+                    f.write(struct.pack("<H", len(encoded)))
+                    f.write(encoded)
+                    f.write(tag)
+                    f.write(struct.pack("<B", arr.ndim))
+                    f.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
+                    f.write(np.ascontiguousarray(arr, dtype=_DTYPES[tag]).tobytes())
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):  # only when the write or rename failed
+                os.remove(tmp)
 
     @staticmethod
     def load(path) -> "Checkpoint":
+        """Read a checkpoint; a malformed or truncated file is a ConfigError."""
         with open(path, "rb") as f:
-            if f.read(4) != MAGIC:
-                raise ValueError(f"{path}: not a sublm checkpoint (bad magic)")
-            (header_len,) = struct.unpack("<I", f.read(4))
-            header = json.loads(f.read(header_len).decode("utf-8"))
-            if header.get("format_version") != FORMAT_VERSION:
-                raise ValueError(
-                    f"{path}: unsupported checkpoint version {header.get('format_version')}")
-            (count,) = struct.unpack("<I", f.read(4))
-            arrays = {}
-            for _ in range(count):
-                (name_len,) = struct.unpack("<H", f.read(2))
-                name = f.read(name_len).decode("utf-8")
-                tag = f.read(1)
-                if tag not in _DTYPES:
-                    raise ValueError(f"{path}: unknown dtype tag {tag!r}")
-                (ndim,) = struct.unpack("<B", f.read(1))
-                shape = struct.unpack(f"<{ndim}Q", f.read(8 * ndim))
-                dtype = _DTYPES[tag]
-                size = int(np.prod(shape)) if shape else 1
-                data = np.frombuffer(f.read(size * dtype.itemsize), dtype=dtype)
-                arrays[name] = data.reshape(shape).copy()
-        return Checkpoint(config=header["config"],
-                          vocab_hashes=header["vocab_hashes"],
-                          epoch=header["epoch"],
-                          best_val_ppl=header["best_val_ppl"],
-                          arrays=arrays)
+            end = os.fstat(f.fileno()).st_size
+
+            def read(size: int) -> bytes:
+                if f.tell() + size > end:
+                    raise ConfigError(f"{path}: truncated checkpoint")
+                return f.read(size)
+
+            def unpack(fmt: str):
+                return struct.unpack(fmt, read(struct.calcsize(fmt)))
+
+            if read(4) != MAGIC:
+                raise ConfigError(f"{path}: not a sublm checkpoint (bad magic)")
+            try:
+                header = json.loads(read(unpack("<I")[0]).decode("utf-8"))
+                version = header.get("format_version") if isinstance(header, dict) else None
+                if version != FORMAT_VERSION:
+                    raise ConfigError(f"{path}: unsupported checkpoint version {version}")
+                arrays = {}
+                for _ in range(unpack("<I")[0]):
+                    name = read(unpack("<H")[0]).decode("utf-8")
+                    tag = read(1)
+                    if tag not in _DTYPES:
+                        raise ConfigError(f"{path}: unknown dtype tag {tag!r}")
+                    shape = unpack(f"<{unpack('<B')[0]}Q")
+                    data = read(math.prod(shape) * _DTYPES[tag].itemsize)
+                    arrays[name] = np.frombuffer(data, _DTYPES[tag]).reshape(shape).copy()
+                return Checkpoint(config=header["config"],
+                                  vocab_hashes=header["vocab_hashes"],
+                                  epoch=header["epoch"],
+                                  best_val_ppl=header["best_val_ppl"],
+                                  arrays=arrays)
+            except (UnicodeDecodeError, json.JSONDecodeError, KeyError) as err:
+                raise ConfigError(f"{path}: malformed checkpoint ({err!r})") from None

@@ -4,8 +4,8 @@ Verbs: syllabify, build-vocab, train, eval, tune, analyze, params.  Stdout
 carries data (tables, metrics, segmentations); diagnostics go to stderr.
 Relative data paths inside a config file resolve against the config file's
 directory.  Exit codes: 0 success, 2 usage, 3 missing file, 4 malformed
-config or pattern file, 5 vocabulary mismatch, 6 budget violation,
-7 numerical divergence.
+config, pattern or checkpoint file, 5 vocabulary mismatch, 6 budget
+violation, 7 numerical divergence.
 """
 
 from __future__ import annotations
@@ -79,18 +79,15 @@ def _resolve_config_paths(config: TrainConfig, config_path: str) -> TrainConfig:
     return dataclasses.replace(config, **updates) if updates else config
 
 
-def _segmenter_for(config: TrainConfig) -> Segmenter:
-    return make_segmenter(config.mode, config.patterns, config.exceptions,
-                          config.overrides)
-
-
-def _vocabs_for(config: TrainConfig, segmenter: Segmenter):
+def _vocabs_for(config: TrainConfig):
+    """Config -> vocabularies, loaded from vocab_dir or built from train."""
+    seg = make_segmenter(config.mode, config.patterns, config.exceptions,
+                         config.overrides)
     if config.vocab_dir:
         return load_vocabs(os.path.join(config.vocab_dir, "words.tsv"),
-                           os.path.join(config.vocab_dir, "subwords.tsv"),
-                           segmenter)
+                           os.path.join(config.vocab_dir, "subwords.tsv"), seg)
     if config.train:
-        return build_vocabs(_read(config.train), segmenter,
+        return build_vocabs(_read(config.train), seg,
                             word_cap=config.word_cap or None)
     raise ConfigError("config needs either vocab_dir or a train corpus")
 
@@ -99,12 +96,11 @@ def _training_data(config: TrainConfig):
     """Config -> (vocabs, corpus with the encoded train and valid streams)."""
     if not config.train:
         raise ConfigError("config key 'train' (training corpus path) is required")
-    seg = _segmenter_for(config)
-    vocabs = _vocabs_for(config, seg)
+    vocabs = _vocabs_for(config)
     texts = {"train": _read(config.train)}
     if config.valid:
         texts["valid"] = _read(config.valid)
-    return vocabs, encode_corpus(texts, vocabs, seg)
+    return vocabs, encode_corpus(texts, vocabs)
 
 
 def cmd_syllabify(args) -> int:
@@ -151,19 +147,18 @@ def cmd_train(args) -> int:
 
 
 def _load_model(checkpoint_path: str):
-    """Checkpoint -> (model, config, vocabs, segmenter) with hash check."""
+    """Checkpoint -> (model, config, vocabs) with hash check."""
     ckpt = Checkpoint.load(checkpoint_path)
     config = TrainConfig.from_dict(ckpt.config)
-    seg = _segmenter_for(config)
-    vocabs = _vocabs_for(config, seg)
+    vocabs = _vocabs_for(config)
     ckpt.verify_vocabs(vocabs.hashes())
     model, _ = model_from_checkpoint(ckpt, ModelSizes.from_vocabs(vocabs))
-    return model, config, vocabs, seg
+    return model, config, vocabs
 
 
 def cmd_eval(args) -> int:
-    model, config, vocabs, seg = _load_model(args.checkpoint)
-    corpus = encode_corpus({"eval": _read(args.corpus)}, vocabs, seg)
+    model, config, vocabs = _load_model(args.checkpoint)
+    corpus = encode_corpus({"eval": _read(args.corpus)}, vocabs)
     steps = args.steps or config.bptt
     ppl = perplexity(model, corpus.streams["eval"], corpus, steps=steps)
     print(f"ppl\t{ppl:.4f}")
@@ -175,9 +170,7 @@ def cmd_params(args) -> int:
     if config.vocab_size and config.subword_vocab_size:
         sizes = ModelSizes.from_config(config)
     else:
-        seg = _segmenter_for(config)
-        vocabs = _vocabs_for(config, seg)
-        sizes = ModelSizes.from_vocabs(vocabs)
+        sizes = ModelSizes.from_vocabs(_vocabs_for(config))
     count = count_parameters(build_model(config, sizes))
     print(f"params\t{count}")
     return EXIT_OK
@@ -212,18 +205,17 @@ def cmd_analyze(args) -> int:
         raise ConfigError("analyze needs at least one --checkpoint")
     os.makedirs(args.out, exist_ok=True)
     models = []
-    vocab_hashes = None
+    shared_vocabs = None
     corpus = None
     steps = args.steps
     for path in args.checkpoint:
-        model, config, vocabs, seg = _load_model(path)
+        model, config, vocabs = _load_model(path)
         name = os.path.splitext(os.path.basename(path))[0]
-        if vocab_hashes is None:
-            vocab_hashes = vocabs.hashes()
-            corpus = encode_corpus({"eval": _read(args.corpus)}, vocabs, seg)
+        if shared_vocabs is None:
             shared_vocabs = vocabs
+            corpus = encode_corpus({"eval": _read(args.corpus)}, vocabs)
             steps = steps or config.bptt
-        elif vocabs.hashes() != vocab_hashes:
+        elif vocabs.hashes() != shared_vocabs.hashes():
             raise VocabMismatchError(
                 "checkpoints being compared use different vocabularies")
         models.append((name, model))

@@ -238,7 +238,7 @@ class SylLinear(Composer):
             return (np.arange(width) < lengths[:, None]).astype(self.e_s.data.dtype)
         if variant == "syl-avg":
             mask = (np.arange(width) < lengths[:, None]).astype(self.e_s.data.dtype)
-            return mask / lengths[:, None]
+            return mask / lengths[:, None].astype(mask.dtype)
         if variant == "syl-avg-a":
             scores = T.tile_rows(T.slice_rows(self.a, 0, width), m)
             return T.masked_softmax(scores, lengths)

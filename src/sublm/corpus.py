@@ -4,20 +4,19 @@ Corpora are plain UTF-8 text, whitespace tokenized, one sentence per line;
 the loader appends ``<eos>`` to every line.  Word ids are dense and ordered
 by descending training frequency (ties broken lexicographically), so id
 order doubles as the frequency ranking used by the sampled-softmax proposal.
+Each vocabulary word is segmented once, when the vocabulary is built or
+loaded; ``encode_corpus`` reuses the segmentations ``Vocabularies`` keeps.
 """
 
 from __future__ import annotations
 
 import hashlib
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 from .syllabify import Segmenter, is_pseudo_token
-
-log = logging.getLogger("sublm")
 
 UNK = "<unk>"
 EOS = "<eos>"
@@ -29,9 +28,9 @@ PAD = "<pad>"
 class Vocabularies:
     """Word and subword vocabularies plus training-frequency bookkeeping.
 
-    ``n`` is the maximum number of subwords any training word maps to;
-    ``word_freq`` sums to the training token count.  Immutable by
-    convention after construction.
+    ``segmentations[w]`` lists the subwords of word id w, ``n`` the most any
+    word has (the dumps and hashes leave them out); ``word_freq`` sums to
+    the training token count.  Immutable by convention after construction.
     """
 
     word_to_id: dict[str, int]
@@ -39,7 +38,11 @@ class Vocabularies:
     word_freq: np.ndarray
     sub_to_id: dict[str, int]
     id_to_sub: list[str]
-    n: int
+    segmentations: list[list[str]]
+
+    @property
+    def n(self) -> int:
+        return max(map(len, self.segmentations))
 
     @property
     def word_count(self) -> int:
@@ -86,13 +89,12 @@ class EncodedCorpus:
     """Token id streams per split plus the per-word subword table.
 
     ``subword_rows`` is |W| x n, left-aligned and pad-filled; row w holds the
-    subword ids of word w, ``row_lengths[w]`` of them real.
+    ids of ``Vocabularies.segmentations[w]``, ``row_lengths[w]`` of them real.
     """
 
     streams: dict[str, np.ndarray]
     subword_rows: np.ndarray
     row_lengths: np.ndarray
-    truncated_words: int = 0
 
 
 def tokenize(text: str) -> list[str]:
@@ -107,10 +109,9 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
-def segment_vocab_word(word: str, segmenter: Segmenter) -> list[str]:
-    if is_pseudo_token(word):
-        return [word]
-    return segmenter.segment(word)
+def _segment_words(words: list[str], segmenter: Segmenter) -> list[list[str]]:
+    """Each word's subwords; a pseudo-token is its own, never segmented."""
+    return [[w] if is_pseudo_token(w) else segmenter.segment(w) for w in words]
 
 
 def build_vocabs(train_text: str, segmenter: Segmenter,
@@ -148,11 +149,9 @@ def build_vocabs(train_text: str, segmenter: Segmenter,
     word_to_id = {w: i for i, w in enumerate(id_to_word)}
     word_freq = np.array([counts[w] for w in id_to_word], dtype=np.int64)
 
+    segmentations = _segment_words(id_to_word, segmenter)
     sub_counts: dict[str, int] = {}
-    n = 1
-    for w in id_to_word:
-        parts = segment_vocab_word(w, segmenter)
-        n = max(n, len(parts))
+    for w, parts in zip(id_to_word, segmentations):
         for p in parts:
             sub_counts[p] = sub_counts.get(p, 0) + counts[w]
     sub_counts.setdefault(UNK_SUB, 0)
@@ -162,16 +161,16 @@ def build_vocabs(train_text: str, segmenter: Segmenter,
 
     return Vocabularies(word_to_id=word_to_id, id_to_word=id_to_word,
                         word_freq=word_freq, sub_to_id=sub_to_id,
-                        id_to_sub=id_to_sub, n=n)
+                        id_to_sub=id_to_sub, segmentations=segmentations)
 
 
 def encode_corpus(texts: dict[str, str], vocabs: Vocabularies,
-                  segmenter: Segmenter) -> EncodedCorpus:
+                  segmenter=None) -> EncodedCorpus:
     """Encode split texts to id streams and build the subword table.
 
-    Out-of-vocabulary words map to <unk>, unknown subwords to <unk_sub>;
-    segmentations longer than ``vocabs.n`` keep their first n subwords (the
-    count of affected words is logged and recorded).
+    The table comes from ``vocabs.segmentations``; ``segmenter`` is ignored,
+    kept so that three-argument calls still work.  Out-of-vocabulary words
+    map to <unk>, subwords missing from the subword vocabulary to <unk_sub>.
     """
     unk = vocabs.unk_id
     streams = {}
@@ -179,23 +178,13 @@ def encode_corpus(texts: dict[str, str], vocabs: Vocabularies,
         ids = [vocabs.word_to_id.get(tok, unk) for tok in tokenize(text)]
         streams[split] = np.array(ids, dtype=np.int64)
 
-    n = vocabs.n
-    rows = np.full((vocabs.word_count, n), vocabs.pad_sub_id, dtype=np.int64)
-    lengths = np.zeros(vocabs.word_count, dtype=np.int64)
-    truncated = 0
-    for wid, word in enumerate(vocabs.id_to_word):
-        parts = segment_vocab_word(word, segmenter)
-        if len(parts) > n:
-            truncated += 1
-            parts = parts[:n]
-        lengths[wid] = len(parts)
-        for j, p in enumerate(parts):
-            rows[wid, j] = vocabs.sub_to_id.get(p, vocabs.unk_sub_id)
-    if truncated:
-        log.warning("%d words had more than %d subwords and were truncated",
-                    truncated, n)
-    return EncodedCorpus(streams=streams, subword_rows=rows,
-                         row_lengths=lengths, truncated_words=truncated)
+    segs = vocabs.segmentations
+    lengths = np.array([len(parts) for parts in segs], dtype=np.int64)
+    rows = np.full((len(segs), vocabs.n), vocabs.pad_sub_id, dtype=np.int64)
+    # a boolean mask visits row w's first lengths[w] cells in order, row by row
+    rows[np.arange(rows.shape[1]) < lengths[:, None]] = [
+        vocabs.sub_to_id.get(p, vocabs.unk_sub_id) for parts in segs for p in parts]
+    return EncodedCorpus(streams=streams, subword_rows=rows, row_lengths=lengths)
 
 
 def batch_stream(stream: np.ndarray, batch_size: int, steps: int):
@@ -260,7 +249,8 @@ def _parse_vocab_file(text: str, what: str) -> tuple[list[str], np.ndarray]:
 
 
 def load_vocabs(words_path, subwords_path, segmenter: Segmenter) -> Vocabularies:
-    """Rebuild Vocabularies from dump files; ``n`` is recomputed by segmenting."""
+    """Rebuild Vocabularies from dump files, segmenting each word once;
+    subwords the file lacks (another segmenter's) encode as <unk_sub>."""
     with open(words_path, encoding="utf-8") as f:
         id_to_word, word_freq = _parse_vocab_file(f.read(), "word")
     with open(subwords_path, encoding="utf-8") as f:
@@ -271,11 +261,9 @@ def load_vocabs(words_path, subwords_path, segmenter: Segmenter) -> Vocabularies
     for special in (UNK_SUB, PAD):
         if special not in id_to_sub:
             raise ConfigError(f"subword vocab is missing {special}")
-    n = 1
-    for w in id_to_word:
-        n = max(n, len(segment_vocab_word(w, segmenter)))
     return Vocabularies(
         word_to_id={w: i for i, w in enumerate(id_to_word)},
         id_to_word=id_to_word, word_freq=word_freq,
         sub_to_id={s: i for i, s in enumerate(id_to_sub)},
-        id_to_sub=id_to_sub, n=n)
+        id_to_sub=id_to_sub,
+        segmentations=_segment_words(id_to_word, segmenter))

@@ -230,7 +230,7 @@ def sampled_softmax_nll(h: Tensor, w_out: Tensor, b_out: Tensor,
         log_expected = np.log(-np.expm1(tries * np.log1p(-sampler.probs)))
     cand_ids = np.concatenate([targets[:, None], pool[select]], axis=1)
     logits = np.concatenate([target_logits[:, None], neg_logits], axis=1)
-    logits = logits - log_expected[cand_ids]
+    logits = logits - log_expected[cand_ids].astype(logits.dtype, copy=False)
 
     zmax = logits.max(axis=1, keepdims=True)
     e = np.exp(logits - zmax)
@@ -241,7 +241,7 @@ def sampled_softmax_nll(h: Tensor, w_out: Tensor, b_out: Tensor,
         dlogits = e / z
         dlogits[:, 0] -= 1.0
         dlogits *= g / m
-        d_pool = np.zeros((m, k + 1))
+        d_pool = np.zeros((m, k + 1), dtype=dlogits.dtype)
         np.add.at(d_pool, (np.arange(m)[:, None], select), dlogits[:, 1:])
         dh = dlogits[:, :1] * wv[:, targets].T + d_pool @ wv[:, pool].T
 

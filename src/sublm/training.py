@@ -228,12 +228,12 @@ def model_from_checkpoint(ckpt: Checkpoint, sizes: ModelSizes):
     model = build_model(config, sizes)
     missing = set(model.params) ^ set(ckpt.arrays)
     if missing:
-        raise ValueError(f"checkpoint arrays do not match the model: {sorted(missing)}")
+        raise ConfigError(f"checkpoint arrays do not match the model: {sorted(missing)}")
     for name, arr in ckpt.arrays.items():
         p = model.params[name]
         if p.data.shape != arr.shape:
-            raise ValueError(f"checkpoint array {name} has shape {arr.shape}, "
-                             f"model expects {p.data.shape}")
+            raise ConfigError(f"checkpoint array {name} has shape {arr.shape}, "
+                              f"model expects {p.data.shape}")
         p.data = arr.astype(p.data.dtype, copy=True)
     return model, config
 

@@ -165,9 +165,8 @@ class TestPca:
 class TestEvalReport:
     def _tiny_model_setup(self, rng):
         text = "aa bb cc dd aa bb\ncc dd aa bb cc dd\n" * 4
-        seg = Segmenter("chars")
-        vocabs = build_vocabs(text, seg)
-        corpus = encode_corpus({"test": text}, vocabs, seg)
+        vocabs = build_vocabs(text, Segmenter("chars"))
+        corpus = encode_corpus({"test": text}, vocabs)
         comp = build_composer(
             CompositionConfig(variant="syl-sum", d_s=5, n=vocabs.n),
             vocabs.word_count, vocabs.subword_count,

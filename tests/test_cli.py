@@ -1,11 +1,13 @@
 import io
 import os
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from sublm.checkpoint import Checkpoint
 from sublm.cli import run
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -178,11 +180,38 @@ class TestPipeline:
         assert ppls == sorted(ppls)
 
 
+def _cut_header(data):
+    (header_len,) = struct.unpack("<I", data[4:8])
+    return data[:8 + header_len // 2]
+
+
+class TestMalformedCheckpoint:
+    @pytest.mark.parametrize("corrupt", [
+        lambda data: b"NOPE" + data[4:],
+        _cut_header,
+        lambda data: data[:-8],  # the last array's data ends the file
+    ], ids=["bad-magic", "header-cut", "array-cut"])
+    def test_eval_exits_4_with_error_line(self, tmp_path, capsys, corrupt):
+        path = tmp_path / "m.ckpt"
+        Checkpoint(config={}, vocab_hashes={}, epoch=0, best_val_ppl=1.0,
+                   arrays={"w": np.zeros((3, 4))}).save(path)
+        path.write_bytes(corrupt(path.read_bytes()))
+        corpus = tmp_path / "eval.txt"
+        corpus.write_text("a b\n")
+        assert run(["eval", "--checkpoint", str(path), "--corpus", str(corpus)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert any(line.startswith("error: ") for line in err)
+
+
 class TestSubprocess:
     def test_console_entry_point(self):
+        # the child imports sublm from this checkout, as pytest itself does
+        path = os.pathsep.join(filter(None, [os.path.join(REPO, "src"),
+                                             os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "sublm.cli", "syllabify"],
             input="unconstitutional conditions\n",
-            capture_output=True, text=True, timeout=120)
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=path))
         assert result.returncode == 0
         assert result.stdout == "un-con-sti-tu-tional con-di-tions\n"

@@ -3,7 +3,7 @@ import pytest
 
 from sublm import corpus as C
 from sublm.errors import ConfigError
-from sublm.syllabify import Segmenter, load_default_patterns
+from sublm.syllabify import Segmenter, is_pseudo_token, load_default_patterns
 
 
 @pytest.fixture(scope="module")
@@ -92,27 +92,69 @@ class TestEncodeCorpus:
         expected = [w if w in v.word_to_id else C.UNK for w in C.tokenize(test)]
         assert [v.id_to_word[i] for i in enc.streams["test"]] == expected
 
-    def test_overlong_external_segmentation_truncates(self, caplog):
-        # vocab built with 3-subword segmentations, then encoded with an
-        # override that gives "bird" four parts: keeps the first n
-        ext = Segmenter("external", overrides={"cat": ["c", "a", "t"],
-                                               "bird": ["bi", "r", "d"]})
-        v = C.build_vocabs("cat bird\n", ext)
-        assert v.n == 3
-        longer = Segmenter("external", overrides={"cat": ["c", "a", "t"],
-                                                  "bird": ["b", "i", "r", "d"]})
-        with caplog.at_level("WARNING", logger="sublm"):
-            enc = C.encode_corpus({"train": "cat bird\n"}, v, longer)
-        assert enc.truncated_words == 1
-        assert enc.row_lengths[v.word_to_id["bird"]] == 3
-
-    def test_unknown_subwords_map_to_unk_sub(self, chars):
-        v = C.build_vocabs("cat\n", chars)
+    def test_unknown_subwords_map_to_unk_sub(self, tmp_path, chars):
+        # the subword file comes from the character segmenter; loading it
+        # with another segmenter yields a subword ("ca") the file lacks
+        C.save_vocabs(C.build_vocabs("cat\n", chars),
+                      tmp_path / "words.tsv", tmp_path / "subwords.tsv")
         ext = Segmenter("external", overrides={"cat": ["ca", "t"]})
-        enc = C.encode_corpus({"train": "cat\n"}, v, ext)
+        v = C.load_vocabs(tmp_path / "words.tsv", tmp_path / "subwords.tsv", ext)
+        enc = C.encode_corpus({"train": "cat\n"}, v)
         row = enc.subword_rows[v.word_to_id["cat"]]
+        assert enc.row_lengths[v.word_to_id["cat"]] == 2
         assert row[0] == v.unk_sub_id
         assert v.id_to_sub[row[1]] == "t"
+
+
+class TestSegmentOnce:
+    TEXT = "unconstitutional cat\nmodel river <unk> cat\n"
+
+    @staticmethod
+    def count_segment_calls(monkeypatch):
+        calls = []
+        original = Segmenter.segment
+
+        def segment(self, word):
+            calls.append(word)
+            return original(self, word)
+
+        monkeypatch.setattr(Segmenter, "segment", segment)
+        return calls
+
+    def test_build_then_encode_segments_each_word_once(self, monkeypatch, liang):
+        calls = self.count_segment_calls(monkeypatch)
+        v = C.build_vocabs(self.TEXT, liang)
+        C.encode_corpus({"train": self.TEXT}, v, liang)
+        words = [w for w in v.id_to_word if not is_pseudo_token(w)]
+        assert sorted(calls) == sorted(words)
+        assert len(words) == 4
+
+    def test_load_then_encode_segments_each_word_once(self, monkeypatch, tmp_path,
+                                                       liang):
+        C.save_vocabs(C.build_vocabs(self.TEXT, liang),
+                      tmp_path / "words.tsv", tmp_path / "subwords.tsv")
+        calls = self.count_segment_calls(monkeypatch)
+        v = C.load_vocabs(tmp_path / "words.tsv", tmp_path / "subwords.tsv", liang)
+        C.encode_corpus({"train": self.TEXT}, v, liang)
+        assert sorted(calls) == sorted(w for w in v.id_to_word
+                                       if not is_pseudo_token(w))
+
+    def test_built_and_loaded_tables_are_equal(self, tmp_path, liang):
+        built = C.build_vocabs(self.TEXT, liang)
+        C.save_vocabs(built, tmp_path / "words.tsv", tmp_path / "subwords.tsv")
+        loaded = C.load_vocabs(tmp_path / "words.tsv", tmp_path / "subwords.tsv",
+                               liang)
+        assert loaded.segmentations == built.segmentations
+        a = C.encode_corpus({"train": self.TEXT}, built)
+        b = C.encode_corpus({"train": self.TEXT}, loaded)
+        assert np.array_equal(a.subword_rows, b.subword_rows)
+        assert np.array_equal(a.row_lengths, b.row_lengths)
+        assert np.array_equal(a.streams["train"], b.streams["train"])
+        assert a.subword_rows.shape == (built.word_count, built.n)
+        for w, parts in enumerate(built.segmentations):
+            row = a.subword_rows[w]
+            assert [built.id_to_sub[i] for i in row[:a.row_lengths[w]]] == parts
+            assert (row[len(parts):] == built.pad_sub_id).all()
 
 
 class TestBatchStream:

@@ -9,7 +9,8 @@ from sublm.checkpoint import Checkpoint
 from sublm.config import TrainConfig, parse_config
 from sublm.corpus import batch_stream, build_vocabs, encode_corpus
 from sublm.errors import BudgetError, ConfigError, NonFiniteGradientError
-from sublm.lm import LanguageModel, evaluate_stream, perplexity
+from sublm.lm import (LanguageModel, LogUniformSampler, evaluate_stream,
+                      perplexity, sample_count_for)
 from sublm.syllabify import Segmenter
 from sublm.training import (D_HW_RANGE, D_LM_RANGE, D_S_RANGE, ModelSizes,
                             build_model, check_budget, clip_global_norm,
@@ -51,9 +52,8 @@ def tiny_data(seed=0, sentences=60):
     words = ["alpha", "beta", "gamma", "delta", "omega"]
     lines = [" ".join(rng.choice(words, size=6)) for _ in range(sentences)]
     text = "\n".join(lines) + "\n"
-    seg = Segmenter("chars")
-    vocabs = build_vocabs(text, seg)
-    corpus = encode_corpus({"train": text, "valid": text}, vocabs, seg)
+    vocabs = build_vocabs(text, Segmenter("chars"))
+    corpus = encode_corpus({"train": text, "valid": text}, vocabs)
     return vocabs, corpus
 
 
@@ -283,11 +283,66 @@ class TestTrain:
             assert p.grad is not None and p.grad.dtype == np.float32, name
         assert all(a.dtype == np.float32 for layer in state.layers for a in layer)
 
+    def test_checkpoint_that_does_not_fit_the_model_is_a_config_error(self):
+        vocabs, corpus = tiny_data()
+        sizes = ModelSizes.from_vocabs(vocabs)
+        ckpt = train(tiny_config(max_epochs=1), vocabs, corpus)
+        name = next(iter(ckpt.arrays))
+        ckpt.arrays[name] = np.zeros((1,) + ckpt.arrays[name].shape)
+        with pytest.raises(ConfigError, match="shape"):
+            model_from_checkpoint(ckpt, sizes)
+        del ckpt.arrays[name]
+        with pytest.raises(ConfigError, match="do not match"):
+            model_from_checkpoint(ckpt, sizes)
+
     def test_sampled_softmax_training_runs(self):
         vocabs, corpus = tiny_data()
         cfg = tiny_config(max_epochs=2, softmax="sampled", sample_fraction=0.5)
         ckpt = train(cfg, vocabs, corpus)
         assert math.isfinite(ckpt.best_val_ppl)
+
+
+VARIANT_DIMS = {
+    "word-direct": dict(d_w=8),
+    "syl-lstm": dict(d_s=6, d_w=8),
+    "syl-cnn": dict(d_s=6, cnn_max_width=2, cnn_depth_unit=2),
+    "syl-concat": dict(d_s=6, d_hw=10),
+    "syl-sum": dict(d_s=8),
+    "syl-avg": dict(d_s=8),
+    "syl-avg-a": dict(d_s=8),
+    "syl-avg-b": dict(d_s=8),
+}
+
+
+@pytest.mark.parametrize("softmax", ["full", "sampled"])
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("variant", list(VARIANT_DIMS))
+def test_f32_window_keeps_parameter_dtype(variant, mode, softmax):
+    """The loss, every recorded node behind it and every gradient are f32."""
+    vocabs, corpus = tiny_data()
+    cfg = tiny_config(variant=variant, precision="f32", dropout=0.5,
+                      **VARIANT_DIMS[variant])
+    model = build_model(cfg, ModelSizes.from_vocabs(vocabs),
+                        rng=np.random.default_rng(0))
+    sampled = dict(sampler=LogUniformSampler(vocabs.word_freq),
+                   sample_count=sample_count_for(vocabs.word_count, 0.5))
+    inputs, targets, _ = next(batch_stream(corpus.streams["train"], 4, 6))
+    rng = np.random.default_rng(1)
+    with T.Graph(rng=rng):
+        loss, _ = model.window_nll(inputs, targets, corpus, model.zero_state(4),
+                                   mode=mode, rng=rng,
+                                   **(sampled if softmax == "sampled" else {}))
+        T.backward(loss)
+    seen, stack = set(), [loss]
+    while stack:
+        node = stack.pop()
+        if node.node_id in seen:
+            continue
+        seen.add(node.node_id)
+        assert node.data.dtype == np.float32, node.op
+        stack.extend(node._parents)
+    for name, p in model.params.items():
+        assert p.grad is not None and p.grad.dtype == np.float32, name
 
 
 class TestRandomSearch:
