@@ -3,9 +3,9 @@
 Verbs: syllabify, build-vocab, train, eval, tune, analyze, params.  Stdout
 carries data (tables, metrics, segmentations); diagnostics go to stderr.
 Relative data paths inside a config file resolve against the config file's
-directory.  Exit codes: 0 success, 2 usage, 3 missing file, 4 malformed
-config, pattern or checkpoint file, 5 vocabulary mismatch, 6 budget
-violation, 7 numerical divergence.
+directory.  Exit codes: 0 success, 2 usage, 3 missing or unreadable file,
+4 malformed config, pattern or checkpoint file, 5 vocabulary mismatch,
+6 budget violation, 7 numerical divergence.
 """
 
 from __future__ import annotations
@@ -141,6 +141,10 @@ def cmd_train(args) -> int:
     finally:
         if log_file:
             log_file.close()
+    if ckpt.epoch == 0:
+        print("error: training diverged before any epoch reached a finite "
+              "validation perplexity; no checkpoint written", file=sys.stderr)
+        return EXIT_DIVERGED
     ckpt.save(args.out)
     print(f"checkpoint\t{args.out}", file=sys.stderr)
     return EXIT_OK
@@ -342,8 +346,10 @@ def run(argv) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except FileNotFoundError as err:
-        print(f"error: missing file: {err.filename or err}", file=sys.stderr)
+    except OSError as err:
+        reason = ("missing file" if isinstance(err, FileNotFoundError)
+                  else err.strerror or "unreadable file")
+        print(f"error: {reason}: {err.filename or err}", file=sys.stderr)
         return EXIT_MISSING_FILE
     except (ConfigError, PatternParseError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -195,7 +195,6 @@ class SylCNN(Composer):
             self.banks.append((width, w, b))
         self.highway = HighwayStack(self.out_dim, config.highway_layers, init, dtype)
         self.params.update(self.highway.params)
-        self.max_width = max(w for w, _, _ in self.banks)
 
     def __call__(self, word_ids, rows, lengths):
         rows = np.asarray(rows)

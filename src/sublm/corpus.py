@@ -241,10 +241,13 @@ def _parse_vocab_file(text: str, what: str) -> tuple[list[str], np.ndarray]:
         if len(fields) != 3:
             raise ConfigError(f"{what} vocab line {lineno}: expected id<TAB>token<TAB>freq")
         idx, token, freq = fields
-        if int(idx) != len(tokens):
+        if not (idx.isdecimal() and freq.isdecimal()):
+            raise ConfigError(f"{what} vocab line {lineno}: id and freq must be integers")
+        idx, freq = int(idx), int(freq)
+        if idx != len(tokens):
             raise ConfigError(f"{what} vocab line {lineno}: ids must be dense and ordered")
         tokens.append(token)
-        freqs.append(int(freq))
+        freqs.append(freq)
     return tokens, np.array(freqs, dtype=np.int64)
 
 

@@ -7,7 +7,8 @@ the leaf tensors it reaches (parameters, inputs); interior nodes keep none.
 Repeated calls accumulate additively until grads are cleared.  A whole LSTM
 layer over a window is one recorded op (:func:`lstm`) with its own
 backpropagation through time, so a window's recording does not grow with
-its length.
+its length; likewise all of a CNN composer's convolution banks, with their
+tanh and max-over-time pooling, are one op (:func:`conv1d_max_over_time`).
 
 Default precision is 64-bit; 32-bit is opt-in per tensor.  Reductions run in
 a fixed order, so results are bitwise reproducible for a fixed BLAS thread
@@ -45,6 +46,7 @@ class Tensor:
     Leaf tensors (parameters, constants) have no parents; their ``grad``
     stays ``None`` until a ``backward`` pass reaches them.  Op outputs carry
     their parent tensors and a backward rule, and never hold a ``grad``.
+    ``meta`` is op-specific data for inspection; gradients never read it.
     """
 
     __slots__ = ("data", "grad", "node_id", "op", "meta", "_parents", "_backward",
@@ -310,16 +312,6 @@ def reshape(a: Tensor, shape) -> Tensor:
                      lambda g: (g.reshape(orig),))
 
 
-def concat_cols(tensors: Sequence[Tensor]) -> Tensor:
-    """Concatenate 2-D tensors along the last axis."""
-    widths = [t.data.shape[1] for t in tensors]
-    offs = np.concatenate([[0], np.cumsum(widths)])
-    out = np.concatenate([t.data for t in tensors], axis=1)
-    def bw(g):
-        return tuple(g[:, offs[i]:offs[i + 1]] for i in range(len(widths)))
-    return custom_op(out, "concat_cols", tuple(tensors), bw)
-
-
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     def bw(g):
         def scatter(buf):
@@ -398,46 +390,6 @@ def weighted_sum_time(seq: Tensor, alpha) -> Tensor:
     def bw(g):
         return (av[:, :, None] * g[:, None, :],)
     return custom_op(out, "weighted_sum_time", (seq,), bw)
-
-
-def time_windows(seq: Tensor, width: int) -> Tensor:
-    """All width-``width`` windows of a (m, n, d) sequence, as (m, n-width+1, width*d)."""
-    sv = seq.data
-    m, n, d = sv.shape
-    if width < 1 or width > n:
-        raise ConfigError(f"time_windows: width {width} invalid for {n} positions")
-    T = n - width + 1
-    win = np.lib.stride_tricks.sliding_window_view(sv, width, axis=1)  # m, T, d, width
-    out = np.ascontiguousarray(win.transpose(0, 1, 3, 2)).reshape(m, T, width * d)
-    def bw(g):
-        gq = g.reshape(m, T, width, d)
-        def scatter(buf):
-            for j in range(width):
-                buf[:, j:j + T, :] += gq[:, :, j, :]
-        return (scatter,)
-    return custom_op(out, "time_windows", (seq,), bw)
-
-
-def masked_max_time(resp: Tensor, counts: np.ndarray) -> Tensor:
-    """Per-row max over the first ``counts[i]`` time positions of (m, T, k)."""
-    rv = resp.data
-    m, T, k = rv.shape
-    counts = np.asarray(counts)
-    if counts.min() < 1 or counts.max() > T:
-        raise ValueError(f"masked_max_time: counts must lie in [1, {T}]")
-    valid = np.arange(T)[None, :, None] < counts[:, None, None]
-    masked = np.where(valid, rv, -np.inf)
-    arg = masked.argmax(axis=1)  # m, k
-    rows = np.arange(m)[:, None]
-    cols = np.arange(k)[None, :]
-    out = rv[rows, arg, cols]
-    def bw(g):
-        def scatter(buf):
-            np.add.at(buf, (rows, arg, cols), g)
-        return (scatter,)
-    result = custom_op(out, "masked_max_time", (resp,), bw)
-    result.meta = counts
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -600,26 +552,58 @@ def lstm(x: Tensor, h0: np.ndarray, c0: np.ndarray, params: LSTMCellParams,
 
 
 def conv1d_max_over_time(seq: Tensor, banks, lengths=None) -> Tensor:
-    """Per-bank tanh convolution over time, max-pooled, outputs concatenated.
+    """Tanh convolution banks over time, max-pooled and concatenated, as one op.
 
     ``banks`` is a list of ``(width, weights, bias)`` with weights shaped
-    (width*d, k).  ``lengths``, when given, limits pooling of each row to
-    windows starting inside its first ``max(lengths[i], max_width)``
-    positions, so trailing padding beyond that never matters.
+    (width*d, k); out[i, f] = max_t tanh(window(i, t) @ weights[:, f] + bias[f])
+    over each bank's k columns in turn.  ``lengths``, when given, limits
+    pooling of each row to windows starting inside its first
+    ``min(max(lengths[i], max_width), n)`` positions, so trailing padding
+    beyond that never matters; ``meta`` holds these extents.
+
+    Each bank is one 2-D GEMM over all windows.  tanh is increasing, so the
+    max is taken first and the bias and tanh touch the (m, k) maxima only;
+    gradients flow through each (row, filter)'s argmax window alone.
     """
-    m, n, d = seq.data.shape
-    widths = [w for w, _, _ in banks]
-    if max(widths) > n:
-        raise ConfigError(f"filter width {max(widths)} exceeds {n} subword positions")
+    sv = seq.data
+    m, n, d = sv.shape
+    widest = max(w for w, _, _ in banks)
+    if widest > n:
+        raise ConfigError(f"filter width {widest} exceeds {n} subword positions")
     extent = np.full(m, n) if lengths is None else np.minimum(
-        np.maximum(np.asarray(lengths), max(widths)), n)
-    outs = []
+        np.maximum(np.asarray(lengths), widest), n)
+    outs, saved = [], []
     for width, weights, bias in banks:
-        k = weights.data.shape[1]
-        windows = time_windows(seq, width)
         t_count = n - width + 1
-        flat = reshape(windows, (m * t_count, width * d))
-        resp = tanh(affine(flat, weights, bias))
-        pooled = masked_max_time(reshape(resp, (m, t_count, k)), extent - width + 1)
-        outs.append(pooled)
-    return concat_cols(outs) if len(outs) > 1 else outs[0]
+        win = np.lib.stride_tricks.sliding_window_view(sv, width, axis=1)  # m, T, d, width
+        win = np.ascontiguousarray(win.transpose(0, 1, 3, 2)).reshape(m * t_count, width * d)
+        z = (win @ weights.data).reshape(m, t_count, -1)
+        z[np.arange(t_count) > extent[:, None] - width] = -np.inf
+        arg = z.argmax(axis=1)[:, None, :]  # m, 1, k
+        y = np.take_along_axis(z, arg, axis=1)[:, 0, :] + bias.data
+        np.tanh(y, out=y)
+        outs.append(y)
+        saved.append((width, t_count, win, weights.data, arg, y))
+
+    def bw(g):
+        contribs, dwins, off = [], [], 0
+        for width, t_count, win, wv, arg, y in saved:
+            k = y.shape[1]
+            gz = g[:, off:off + k] * (1.0 - y * y)
+            off += k
+            dz = np.zeros((m, t_count, k), dtype=gz.dtype)
+            np.put_along_axis(dz, arg, gz[:, None, :], axis=1)
+            dz = dz.reshape(m * t_count, k)
+            dwins.append((width, t_count, (dz @ wv.T).reshape(m, t_count, width, d)))
+            contribs += [win.T @ dz, gz.sum(axis=0)]
+
+        def scatter(buf):
+            for width, t_count, dwin in dwins:
+                for j in range(width):
+                    buf[:, j:j + t_count] += dwin[:, :, j]
+        return [scatter] + contribs
+
+    parents = [seq] + [p for _, weights, bias in banks for p in (weights, bias)]
+    out = custom_op(np.concatenate(outs, axis=1), "conv1d_max_over_time", parents, bw)
+    out.meta = extent
+    return out

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import Checkpoint
-from .composition import CompositionConfig, build_composer, uniform_init
+from .composition import (LINEAR_VARIANTS, CompositionConfig, build_composer,
+                          uniform_init)
 from .config import TrainConfig
 from .corpus import EncodedCorpus, Vocabularies, batch_stream
 from .errors import BudgetError, ConfigError, NonFiniteGradientError
@@ -63,8 +64,7 @@ def composition_config(config: TrainConfig, sizes: ModelSizes) -> CompositionCon
             raise ConfigError("syl-cnn needs cnn_max_width")
         triangle = config.cnn_max_width * (config.cnn_max_width + 1) // 2
         depth_unit = max(1, round(config.d_hw / triangle))
-    d_hw = config.d_s if variant in ("syl-sum", "syl-avg", "syl-avg-a", "syl-avg-b") \
-        else config.d_hw
+    d_hw = config.d_s if variant in LINEAR_VARIANTS else config.d_hw
     return CompositionConfig(
         variant=variant, d_s=config.d_s, d_w=config.d_w, d_hw=d_hw,
         highway_layers=config.highway_layers,
@@ -81,10 +81,6 @@ def build_model(config: TrainConfig, sizes: ModelSizes,
     init = np.zeros if rng is None else uniform_init(rng, config.init_range)
     dtype = np.float64 if config.precision == "f64" else np.float32
     comp_cfg = composition_config(config, sizes)
-    if config.variant == "syl-cnn" and comp_cfg.cnn_max_width > sizes.max_subwords:
-        raise ConfigError(
-            f"cnn_max_width {comp_cfg.cnn_max_width} exceeds the maximum "
-            f"subwords per word ({sizes.max_subwords})")
     composer = build_composer(comp_cfg, sizes.vocab_size,
                               sizes.subword_vocab_size, init=init, dtype=dtype)
     if config.d_lm < 1:

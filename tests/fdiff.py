@@ -6,6 +6,7 @@ never touches the analytic backward path, so both sides stay independent.
 
 import numpy as np
 
+from cnn_reference import preactivations
 from sublm import tensor as T
 
 STEP = 1e-5
@@ -68,19 +69,35 @@ def fd_margin(loss: T.Tensor) -> float:
         seen.add(node.node_id)
         if node.op == "relu":
             margin = min(margin, float(np.abs(node._parents[0].data).min()))
-        elif node.op == "masked_max_time":
-            resp = node._parents[0].data
-            counts = node.meta
-            t_count = resp.shape[1]
-            valid = np.arange(t_count)[None, :, None] < counts[:, None, None]
-            masked = np.where(valid, resp, -np.inf)
-            top2 = np.sort(masked, axis=1)[:, -2:, :]
-            gaps = top2[:, 1, :] - top2[:, 0, :]
-            finite = gaps[np.isfinite(gaps)]
-            if finite.size:
-                margin = min(margin, float(finite.min()))
+        elif node.op == "conv1d_max_over_time":
+            margin = min(margin, conv_pool_gap(node))
         stack.extend(node._parents)
     return margin
+
+
+def conv_pool_gap(node: T.Tensor) -> float:
+    """Smallest top-two gap of any bank's masked pre-activations over time.
+
+    The fused conv op's parents are the sequence and then each bank's
+    weights and bias; ``node.meta`` holds its per-row pooling extents.  The
+    argmax window of a (row, filter) switches where the gap closes, so that
+    gap is the op's distance from a kink (the bias and tanh cannot move it).
+    """
+    seq = node._parents[0].data
+    m, n, d = seq.shape
+    gap = np.inf
+    for w in node._parents[1::2]:
+        width = w.data.shape[0] // d
+        if n - width + 1 < 2:
+            continue  # a single window start: nothing to switch to
+        z = preactivations(seq, w.data, width)
+        valid = np.arange(z.shape[1])[None, :, None] <= (node.meta - width)[:, None, None]
+        top2 = np.sort(np.where(valid, z, -np.inf), axis=1)[:, -2:, :]
+        gaps = top2[:, 1, :] - top2[:, 0, :]
+        finite = gaps[np.isfinite(gaps)]
+        if finite.size:
+            gap = min(gap, float(finite.min()))
+    return gap
 
 
 def safe_instance(build, seed: int, min_margin: float = 1e-3):

@@ -7,6 +7,8 @@ import sys
 import numpy as np
 import pytest
 
+from sublm import lm
+from sublm import tensor as T
 from sublm.checkpoint import Checkpoint
 from sublm.cli import run
 
@@ -144,6 +146,12 @@ class TestPipeline:
         assert run(["eval", "--checkpoint", str(ckpt),
                     "--corpus", str(tmp_path / "nope.txt")]) == 3
 
+    def test_directory_as_corpus_exits_3(self, trained, capsys):
+        tmp_path, cfg, ckpt, train_f, valid_f = trained
+        capsys.readouterr()
+        assert run(["eval", "--checkpoint", str(ckpt), "--corpus", str(tmp_path)]) == 3
+        assert error_lines(capsys)
+
     def test_analyze_two_models(self, trained, capsys):
         tmp_path, cfg, ckpt, train_f, valid_f = trained
         ckpt2 = tmp_path / "model2.ckpt"
@@ -178,6 +186,55 @@ class TestPipeline:
         assert len(out) == 3
         ppls = [float(line.split("\t")[5]) for line in out[1:]]
         assert ppls == sorted(ppls)
+
+
+def error_lines(capsys):
+    return [line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("error: ")]
+
+
+class TestInputErrors:
+    def test_directory_as_checkpoint_exits_3(self, tmp_path, capsys):
+        corpus = tmp_path / "eval.txt"
+        corpus.write_text("a b\n")
+        assert run(["eval", "--checkpoint", str(tmp_path), "--corpus", str(corpus)]) == 3
+        assert error_lines(capsys)
+
+    @pytest.mark.parametrize("field", [0, 2], ids=["id", "freq"])
+    def test_malformed_vocab_field_exits_4(self, tmp_path, rng, capsys, field):
+        train_f, valid_f = write_demo_corpus(tmp_path, rng)
+        vocab_dir = tmp_path / "vocab"
+        assert run(["build-vocab", "--corpus", str(train_f), "--mode", "chars",
+                    "--out", str(vocab_dir)]) == 0
+        words = vocab_dir / "words.tsv"
+        lines = words.read_text().splitlines()
+        fields = lines[2].split("\t")
+        fields[field] = "x"
+        lines[2] = "\t".join(fields)
+        words.write_text("\n".join(lines) + "\n")
+        cfg = write_demo_config(tmp_path, train_f, valid_f, vocab_dir=str(vocab_dir))
+        capsys.readouterr()
+        assert run(["params", "--config", str(cfg)]) == 4
+        errors = error_lines(capsys)
+        assert errors and "line 3" in errors[0]
+
+
+class TestDivergence:
+    def test_nan_from_the_first_window_exits_7(self, tmp_path, rng, capsys,
+                                                monkeypatch):
+        original = lm.LanguageModel.window_nll
+
+        def nan_window_nll(self, *args, **kwargs):
+            loss, state = original(self, *args, **kwargs)
+            return T.mul_scalar(loss, float("nan")), state
+
+        monkeypatch.setattr(lm.LanguageModel, "window_nll", nan_window_nll)
+        train_f, valid_f = write_demo_corpus(tmp_path, rng)
+        cfg = write_demo_config(tmp_path, train_f, valid_f)
+        ckpt = tmp_path / "model.ckpt"
+        assert run(["train", "--config", str(cfg), "--out", str(ckpt)]) == 7
+        assert error_lines(capsys)
+        assert not ckpt.exists()
 
 
 def _cut_header(data):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fdiff import check_grads, safe_instance
+from fdiff import check_grads, fd_margin, safe_instance
 from lstm_reference import lstm_step, lstm_steps
 from sublm import tensor as T
 from sublm.composition import (CompositionConfig, HighwayStack, build_composer,
@@ -155,12 +155,38 @@ class TestSylCNN:
     def test_junk_beyond_pool_extent_ignored(self, rng):
         comp = make("syl-cnn", rng)
         _, rows, lengths = random_batch(rng)
-        extent = np.maximum(lengths, comp.max_width)
+        extent = np.maximum(lengths, comp.config.cnn_max_width)
         junk = rows.copy()
         for i, e in enumerate(extent):
             junk[i, e:] = rng.integers(0, S_VOCAB, size=rows.shape[1] - e)
         assert np.array_equal(comp(None, junk, lengths).data,
                               comp(None, rows, lengths).data)
+
+    def test_recorded_ops_do_not_grow_with_bank_count(self, rng):
+        # one lookup, one conv op for every bank, then the highway nodes
+        def recorded_ops(banks):
+            comp = make("syl-cnn", rng, n=6, cnn_banks=banks)
+            _, rows, lengths = random_batch(rng, n=6)
+            seen, ops, stack = set(), [], [comp(None, rows, lengths)]
+            while stack:
+                node = stack.pop()
+                if node._backward is not None and node.node_id not in seen:
+                    seen.add(node.node_id)
+                    ops.append(node.op)
+                    stack.extend(node._parents)
+            return sorted(ops)
+
+        one = recorded_ops(((1, 2),))
+        six = recorded_ops(tuple((w, 2) for w in range(1, 7)))
+        assert one == six
+        assert one.count("lookup") == 1 and one.count("conv1d_max_over_time") == 1
+
+    def test_fd_margin_sees_the_conv_kinks(self, rng):
+        # no highway, so no relu: only the conv op can make the margin finite
+        comp = make("syl-cnn", rng, highway_layers=0)
+        _, rows, lengths = random_batch(rng)
+        margin = fd_margin(T.tsum(comp(None, rows, lengths)))
+        assert np.isfinite(margin) and margin > 0.0
 
     def test_short_words_use_pad_vectors_as_needed(self, rng):
         # a one-subword word under a width-2 filter must see one pad vector

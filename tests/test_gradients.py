@@ -71,6 +71,23 @@ def test_conv1d_max_over_time(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
+def test_conv1d_banks_wider_than_short_words(seed):
+    # a width-4 bank pools over pad positions of every word shorter than 4
+    def build(rng):
+        m, n, d = 4, 5, 3
+        seq = t(rng, m, n, d)
+        banks = [(w, t(rng, w * d, 2), t(rng, 2)) for w in (1, 2, 4)]
+        lengths = rng.integers(1, n + 1, size=m)
+        params = {"seq": seq}
+        for w, f, b in banks:
+            params.update({f"f{w}": f, f"b{w}": b})
+        return (lambda: T.tsum(T.conv1d_max_over_time(seq, banks, lengths))), params
+
+    loss_fn, params = safe_instance(build, seed)
+    check_grads(loss_fn, params)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 def test_softmax_xent(seed):
     rng = np.random.default_rng(seed)
     logits = t(rng, 4, 7)
@@ -127,12 +144,12 @@ def test_lookup_and_masked_ops(seed):
 @pytest.mark.parametrize("seed", SEEDS[:10])
 def test_structural_ops(seed):
     rng = np.random.default_rng(seed)
-    a, b = t(rng, 4, 3), t(rng, 4, 2)
+    a, b = t(rng, 4, 3), t(rng, 3)
 
     def loss():
-        cat = T.concat_cols([a, b])
-        joined = T.concat_cols([T.slice_rows(cat, 0, 2), T.slice_rows(cat, 2, 4)])
-        return T.tmean(T.tanh(T.reshape(joined, (4, 5))))
+        bottom = T.add(T.slice_rows(a, 2, 4), T.tile_rows(b, 2))
+        joined = T.mul(T.slice_rows(a, 0, 2), bottom)
+        return T.tmean(T.tanh(T.reshape(joined, (3, 2))))
 
     check_grads(loss, {"a": a, "b": b})
 

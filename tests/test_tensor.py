@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cnn_reference import conv_max_over_time, conv_max_over_time_grads
 from lstm_reference import lstm_steps
 from sublm import tensor as T
 from sublm.errors import ConfigError, DimensionError
@@ -83,6 +84,42 @@ class TestLstmCell:
             T.lstm(t(np.zeros((2, 3))), np.zeros((3, 4)), np.zeros((2, 4)), params, 1)
         with pytest.raises(DimensionError):
             T.lstm(t(np.zeros((5, 3))), np.zeros((2, 4)), np.zeros((2, 4)), params, 2)
+
+
+class TestConvMaxOverTime:
+    """The fused conv op against the plain-numpy reference."""
+
+    def _instance(self, rng, dtype, with_lengths):
+        m, n, d = 6, 5, 4
+        seq = T.Tensor(rng.normal(size=(m, n, d)), dtype=dtype)
+        banks = [(width, T.Tensor(rng.normal(scale=0.4, size=(width * d, k)), dtype=dtype),
+                  T.Tensor(rng.normal(scale=0.4, size=k), dtype=dtype))
+                 for width, k in ((1, 3), (2, 2), (4, 5))]
+        # 1 and 2 are shorter than the widest filter
+        lengths = np.array([1, 2, 3, 4, 5, 2]) if with_lengths else None
+        arrays = [(width, w.data, b.data) for width, w, b in banks]
+        return seq, banks, lengths, arrays
+
+    @pytest.mark.parametrize("with_lengths", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_forward_bitwise_equals_reference(self, rng, dtype, with_lengths):
+        seq, banks, lengths, arrays = self._instance(rng, dtype, with_lengths)
+        out = T.conv1d_max_over_time(seq, banks, lengths)
+        ref = conv_max_over_time(seq.data, arrays, lengths)
+        assert out.data.dtype == ref.dtype == dtype
+        assert np.array_equal(out.data, ref)
+
+    @pytest.mark.parametrize("with_lengths", [False, True])
+    def test_gradients_match_reference(self, rng, with_lengths):
+        seq, banks, lengths, arrays = self._instance(rng, np.float64, with_lengths)
+        out = T.conv1d_max_over_time(seq, banks, lengths)
+        g = rng.normal(size=out.data.shape)
+        T.backward(T.tsum(T.mul_array(out, g)))
+        dseq, dbanks = conv_max_over_time_grads(seq.data, arrays, lengths, g)
+        assert np.abs(seq.grad - dseq).max() < 1e-12
+        for (_, w, b), (dw, db) in zip(banks, dbanks):
+            assert np.abs(w.grad - dw).max() < 1e-12
+            assert np.abs(b.grad - db).max() < 1e-12
 
 
 class TestSoftmaxXent:
@@ -222,12 +259,12 @@ class TestOpsMisc:
         assert np.all(alpha.data[1, 3:] == 0.0)
 
     def test_concat_and_slices_roundtrip(self, rng):
-        a, b = t(rng.normal(size=(2, 3))), t(rng.normal(size=(2, 2)))
-        cat = T.concat_cols([a, b])
-        col_weights = np.array([1.0, 1.0, 1.0, 2.0, 2.0])
-        T.backward(T.tsum(T.mul_array(T.slice_rows(cat, 1, 2), col_weights)))
-        assert np.all(a.grad[0] == 0.0) and np.all(b.grad[0] == 0.0)
-        assert np.all(a.grad[1] == 1.0) and np.all(b.grad[1] == 2.0)
+        # rows of a reshaped tensor send their gradients back to the source cells
+        a = t(rng.normal(size=(2, 3)))
+        flat = T.reshape(a, (3, 2))  # rows: a00 a01 | a02 a10 | a11 a12
+        col_weights = np.array([1.0, 2.0])
+        T.backward(T.tsum(T.mul_array(T.slice_rows(flat, 1, 3), col_weights)))
+        assert a.grad.tolist() == [[0.0, 0.0, 1.0], [2.0, 1.0, 2.0]]
 
     def test_conv_width_exceeds_positions(self, rng):
         seq = t(rng.normal(size=(2, 3, 4)))
