@@ -158,14 +158,18 @@ def eval_report(named_models: list[tuple[str, LanguageModel]],
                 corpus: EncodedCorpus, steps: int = 70):
     """Perplexity, size, and throughput of each model on each split.
 
-    Returns (rows, text): machine-readable tuples and an aligned table.
+    Each model scores each split once.  Returns (rows, text, records):
+    machine-readable tuples, an aligned table, and the per-token
+    (position, word_id, prob) triples of each ``(model, split)`` pass.
     Rows are (model, split, ppl, param_count, tokens_per_sec).
     """
     rows = []
+    records = {}
     for name, model in named_models:
         count = sum(p.data.size for p in model.params.values())
         for split, stream in named_streams:
-            ppl, tps = timed_perplexity(model, stream, corpus, steps=steps)
+            ppl, tps, records[name, split] = timed_perplexity(model, stream, corpus,
+                                                              steps=steps)
             rows.append((name, split, ppl, count, tps))
     header = ("model", "split", "ppl", "params", "tokens_per_sec")
     widths = [max(len(str(header[i])),
@@ -173,7 +177,7 @@ def eval_report(named_models: list[tuple[str, LanguageModel]],
     lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(header))]
     for row in rows:
         lines.append("  ".join(_fmt(v).ljust(widths[i]) for i, v in enumerate(row)))
-    return rows, "\n".join(lines) + "\n"
+    return rows, "\n".join(lines) + "\n", records
 
 
 def _fmt(v) -> str:

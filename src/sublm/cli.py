@@ -27,7 +27,7 @@ from .config import TrainConfig, load_config
 from .corpus import (build_vocabs, encode_corpus, load_vocabs, save_vocabs)
 from .errors import (BudgetError, ConfigError, NonFiniteGradientError,
                      PatternParseError, VocabMismatchError)
-from .lm import evaluate_stream, perplexity
+from .lm import perplexity
 from .syllabify import Segmenter, load_default_patterns, load_patterns, \
     load_segmentation_overrides
 from .training import (ModelSizes, build_model, count_parameters,
@@ -224,18 +224,15 @@ def cmd_analyze(args) -> int:
                 "checkpoints being compared use different vocabularies")
         models.append((name, model))
 
-    stream = corpus.streams["eval"]
-    all_records = {}
-    for name, model in models:
-        _, _, raw = evaluate_stream(model, stream, corpus, steps=steps,
-                                    collect_records=True)
-        records = records_from_eval(raw, shared_vocabs)
-        all_records[name] = records
+    rows, text, raw = eval_report(models, [("eval", corpus.streams["eval"])],
+                                  corpus, steps=steps)
+    all_records = {name: records_from_eval(raw[name, "eval"], shared_vocabs)
+                   for name, _ in models}
+    for name, records in all_records.items():
         with open(os.path.join(args.out, f"records_{name}.tsv"), "w",
                   encoding="utf-8") as f:
             f.write(dump_records(records))
 
-    rows, text = eval_report(models, [("eval", stream)], corpus, steps=steps)
     with open(os.path.join(args.out, "report.tsv"), "w", encoding="utf-8") as f:
         f.write("model\tsplit\tppl\tparams\ttokens_per_sec\n")
         for row in rows:

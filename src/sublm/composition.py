@@ -57,6 +57,8 @@ class CompositionConfig:
     def validate(self) -> None:
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown composition variant {self.variant!r}")
+        if self.highway_layers < 0:
+            raise ConfigError(f"highway_layers must be >= 0, got {self.highway_layers}")
         if self.variant == "word-direct":
             if self.d_w < 1:
                 raise ConfigError("word-direct needs d_w >= 1")
@@ -106,7 +108,11 @@ def zeros_init(shape):
 
 
 class HighwayStack:
-    """Layers of y' = t * relu(W_H y + b_H) + (1 - t) * y, t = sigmoid(W_T y + b_T)."""
+    """Layers of y' = t * relu(W_H y + b_H) + (1 - t) * y, t = sigmoid(W_T y + b_T).
+
+    The whole stack runs as one recorded op (:func:`tensor.highway`); with
+    zero layers a call returns its input unchanged.
+    """
 
     def __init__(self, dim: int, layers: int, init, dtype, prefix: str = "hw"):
         self.dim = dim
@@ -125,12 +131,7 @@ class HighwayStack:
         if x.data.shape[1] != self.dim:
             raise ConfigError(
                 f"highway stack of width {self.dim} got input of width {x.data.shape[1]}")
-        y = x
-        for w_t, b_t, w_h, b_h in self._layers:
-            t = T.sigmoid(T.affine(y, w_t, b_t))
-            h = T.relu(T.affine(y, w_h, b_h))
-            y = T.add(T.mul(t, h), T.mul(1.0 - t, y))
-        return y
+        return T.highway(x, self._layers)
 
 
 class Composer:

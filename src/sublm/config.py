@@ -76,7 +76,7 @@ class TrainConfig:
         if self.precision not in ("f64", "f32"):
             raise ConfigError(f"precision must be f64 or f32, got {self.precision!r}")
         for key in ("lr", "clip_norm", "init_range", "batch_size", "bptt",
-                    "max_epochs", "budget_tolerance"):
+                    "max_epochs", "budget_tolerance", "sample_fraction"):
             if getattr(self, key) <= 0:
                 raise ConfigError(f"{key} must be positive")
         if not 0.0 <= self.dropout < 1.0:

@@ -304,8 +304,10 @@ def perplexity(model: LanguageModel, stream: np.ndarray, corpus: EncodedCorpus,
 
 
 def timed_perplexity(model, stream, corpus, steps: int = 70):
-    """(perplexity, tokens/sec) for throughput reporting."""
+    """(perplexity, tokens/sec, records) from one timed scoring pass, with
+    the per-token records of ``evaluate_stream``."""
     start = time.perf_counter()
-    total, count, _ = evaluate_stream(model, stream, corpus, steps=steps)
+    total, count, records = evaluate_stream(model, stream, corpus, steps=steps,
+                                            collect_records=True)
     elapsed = max(time.perf_counter() - start, 1e-9)
-    return _ppl(total, count), count / elapsed
+    return _ppl(total, count), count / elapsed, records

@@ -8,7 +8,8 @@ Repeated calls accumulate additively until grads are cleared.  A whole LSTM
 layer over a window is one recorded op (:func:`lstm`) with its own
 backpropagation through time, so a window's recording does not grow with
 its length; likewise all of a CNN composer's convolution banks, with their
-tanh and max-over-time pooling, are one op (:func:`conv1d_max_over_time`).
+tanh and max-over-time pooling, are one op (:func:`conv1d_max_over_time`),
+and so is a whole highway stack, gates and all (:func:`highway`).
 
 Default precision is 64-bit; 32-bit is opt-in per tensor.  Reductions run in
 a fixed order, so results are bitwise reproducible for a fixed BLAS thread
@@ -79,28 +80,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self.op!r})"
-
-    # Arithmetic sugar; scalar operands are plain Python numbers.
-    def __add__(self, other):
-        return add(self, other) if isinstance(other, Tensor) else add_scalar(self, other)
-
-    def __radd__(self, other):
-        return add_scalar(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other) if isinstance(other, Tensor) else add_scalar(self, -other)
-
-    def __rsub__(self, other):
-        return rsub_scalar(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other) if isinstance(other, Tensor) else mul_scalar(self, other)
-
-    def __rmul__(self, other):
-        return mul_scalar(self, other)
-
-    def __neg__(self):
-        return mul_scalar(self, -1.0)
 
 
 class Graph:
@@ -217,38 +196,14 @@ def backward(loss: Tensor) -> None:
 # elementwise and linear-algebra primitives
 
 
-def _check_same_shape(a: Tensor, b: Tensor, op: str):
-    if a.data.shape != b.data.shape:
-        raise DimensionError(f"{op}: shapes {a.data.shape} and {b.data.shape} differ")
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "add")
+    if a.data.shape != b.data.shape:
+        raise DimensionError(f"add: shapes {a.data.shape} and {b.data.shape} differ")
     return custom_op(a.data + b.data, "add", (a, b), lambda g: (g, g))
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "sub")
-    return custom_op(a.data - b.data, "sub", (a, b), lambda g: (g, -g))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "mul")
-    av, bv = a.data, b.data
-    return custom_op(av * bv, "mul", (a, b), lambda g: (g * bv, g * av))
-
-
-def add_scalar(a: Tensor, s) -> Tensor:
-    return custom_op(a.data + s, "add_scalar", (a,), lambda g: (g,))
 
 
 def mul_scalar(a: Tensor, s) -> Tensor:
     return custom_op(a.data * s, "mul_scalar", (a,), lambda g: (g * s,))
-
-
-def rsub_scalar(a: Tensor, s) -> Tensor:
-    """s - a, elementwise."""
-    return custom_op(s - a.data, "rsub_scalar", (a,), lambda g: (-g,))
 
 
 def mul_array(a: Tensor, arr: np.ndarray) -> Tensor:
@@ -262,21 +217,6 @@ def mul_array(a: Tensor, arr: np.ndarray) -> Tensor:
 def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.data)
     return custom_op(y, "tanh", (a,), lambda g: (g * (1.0 - y * y),))
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    y = np.empty_like(x)
-    pos = x >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    y[~pos] = ex / (1.0 + ex)
-    return custom_op(y, "sigmoid", (a,), lambda g: (g * y * (1.0 - y),))
-
-
-def relu(a: Tensor) -> Tensor:
-    x = a.data
-    return custom_op(np.maximum(x, 0.0), "relu", (a,), lambda g: (g * (x > 0),))
 
 
 def affine(x: Tensor, w: Tensor, b_vec: Tensor) -> Tensor:
@@ -607,3 +547,53 @@ def conv1d_max_over_time(seq: Tensor, banks, lengths=None) -> Tensor:
     out = custom_op(np.concatenate(outs, axis=1), "conv1d_max_over_time", parents, bw)
     out.meta = extent
     return out
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function, evaluated on each sign's branch without overflow."""
+    y = np.empty_like(z)
+    pos = z >= 0
+    y[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ex = np.exp(z[~pos])
+    y[~pos] = ex / (1.0 + ex)
+    return y
+
+
+def highway(x: Tensor, layers) -> Tensor:
+    """A stack of highway layers (Srivastava et al.) over the rows of ``x``, as one op.
+
+    ``layers`` is a list of ``(w_t, b_t, w_h, b_h)``; each layer maps y to
+    t * relu(y @ w_h + b_h) + (1 - t) * y with t = sigmoid(y @ w_t + b_t).
+    With no layers, ``x`` itself is returned and nothing is recorded.
+    """
+    if not layers:
+        return x
+    y = x.data
+    saved = []
+    for w_t, b_t, w_h, b_h in layers:
+        z = y @ w_t.data
+        z += b_t.data
+        t = _sigmoid(z)
+        z = y @ w_h.data
+        z += b_h.data
+        h = np.maximum(z, 0.0)
+        saved.append((y, t, h))
+        y = t * h + (1.0 - t) * y
+
+    def bw(g):
+        grads = []
+        for (w_t, _, w_h, _), (y, t, h) in zip(reversed(layers), reversed(saved)):
+            dz_t = g * h
+            dz_t -= g * y
+            dz_t *= t
+            dz_t *= 1.0 - t
+            dz_h = g * t
+            dz_h *= h > 0  # the relu input is positive exactly where h is
+            grads.append((y.T @ dz_t, dz_t.sum(axis=0), y.T @ dz_h, dz_h.sum(axis=0)))
+            g = g * (1.0 - t)
+            g += dz_h @ w_h.data.T
+            g += dz_t @ w_t.data.T
+        return [g] + [d for layer in reversed(grads) for d in layer]
+
+    parents = [x] + [p for layer in layers for p in layer]
+    return custom_op(y, "highway", parents, bw)

@@ -177,15 +177,14 @@ def train(config: TrainConfig, vocabs: Vocabularies, corpus: EncodedCorpus,
                 if not carry:
                     state = model.zero_state(config.batch_size)
                 steps = inputs.shape[1]
-                with T.Graph(rng=rng):
-                    loss, state = model.window_nll(
-                        inputs, targets, corpus, state, mode="train", rng=rng,
-                        sampler=sampler, sample_count=sample_count)
-                    if not math.isfinite(loss.item()):
-                        raise NonFiniteGradientError("loss")
-                    # gradients of the time-summed, batch-averaged loss,
-                    # as the clipping threshold expects
-                    T.backward(T.mul_scalar(loss, float(steps)))
+                loss, state = model.window_nll(
+                    inputs, targets, corpus, state, mode="train", rng=rng,
+                    sampler=sampler, sample_count=sample_count)
+                if not math.isfinite(loss.item()):
+                    raise NonFiniteGradientError("loss")
+                # gradients of the time-summed, batch-averaged loss,
+                # as the clipping threshold expects
+                T.backward(T.mul_scalar(loss, float(steps)))
                 grads = {name: p.grad for name, p in model.params.items()
                          if p.grad is not None}
                 clip_global_norm(grads, config.clip_norm)

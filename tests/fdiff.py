@@ -7,6 +7,7 @@ never touches the analytic backward path, so both sides stay independent.
 import numpy as np
 
 from cnn_reference import preactivations
+from highway_reference import highway
 from sublm import tensor as T
 
 STEP = 1e-5
@@ -56,9 +57,10 @@ def check_grads(loss_fn, params: dict, tol: float = 1e-4) -> float:
 def fd_margin(loss: T.Tensor) -> float:
     """How far this forward pass sits from a non-differentiable point.
 
-    Walks the recording behind ``loss`` and returns the smallest relu input
-    magnitude or max-pool top-two gap found.  Central differences are only a
-    valid oracle when this margin comfortably exceeds the step size.
+    Walks the recording behind ``loss`` and returns the smallest highway
+    relu input magnitude or max-pool top-two gap found.  Central
+    differences are only a valid oracle when this margin comfortably
+    exceeds the step size.
     """
     margin = np.inf
     stack, seen = [loss], set()
@@ -67,12 +69,24 @@ def fd_margin(loss: T.Tensor) -> float:
         if node.node_id in seen or node._backward is None:
             continue
         seen.add(node.node_id)
-        if node.op == "relu":
-            margin = min(margin, float(np.abs(node._parents[0].data).min()))
+        if node.op == "highway":
+            margin = min(margin, highway_relu_gap(node))
         elif node.op == "conv1d_max_over_time":
             margin = min(margin, conv_pool_gap(node))
         stack.extend(node._parents)
     return margin
+
+
+def highway_relu_gap(node: T.Tensor) -> float:
+    """Smallest relu input magnitude of any layer of a highway op.
+
+    The op's parents are the input and then each layer's w_t, b_t, w_h and
+    b_h; the relu inputs are recomputed from them layer by layer.
+    """
+    x, *params = (p.data for p in node._parents)
+    layers = [params[i:i + 4] for i in range(0, len(params), 4)]
+    _, relu_inputs = highway(x, layers)
+    return min(float(np.abs(z).min()) for z in relu_inputs)
 
 
 def conv_pool_gap(node: T.Tensor) -> float:

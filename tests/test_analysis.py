@@ -178,7 +178,10 @@ class TestEvalReport:
     def test_single_cell_matches_perplexity(self, rng):
         model, vocabs, corpus = self._tiny_model_setup(rng)
         stream = corpus.streams["test"]
-        rows, text = eval_report([("m", model)], [("test", stream)], corpus, steps=5)
+        rows, text, records = eval_report([("m", model)], [("test", stream)], corpus,
+                                          steps=5)
+        assert list(records) == [("m", "test")]
+        assert len(records["m", "test"]) == len(stream) - 1
         assert len(rows) == 1
         name, split, ppl, count, tps = rows[0]
         assert ppl == pytest.approx(perplexity(model, stream, corpus, steps=5))

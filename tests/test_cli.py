@@ -1,5 +1,7 @@
+import collections
 import io
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -7,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from sublm import lm
+from sublm import cli, lm
 from sublm import tensor as T
 from sublm.checkpoint import Checkpoint
 from sublm.cli import run
@@ -172,6 +174,24 @@ class TestPipeline:
         assert shared[0].startswith("p_star\t")
         assert len(shared) == 7  # header + default 6-point grid
 
+    def test_analyze_scores_each_model_once(self, trained, capsys, monkeypatch):
+        tmp_path, cfg, ckpt, train_f, valid_f = trained
+        ckpt2 = tmp_path / "copy.ckpt"
+        shutil.copy(ckpt, ckpt2)
+        original = lm.evaluate_stream
+        calls = collections.Counter()
+
+        def counting(model, *args, **kwargs):
+            calls[id(model)] += 1
+            return original(model, *args, **kwargs)
+
+        # under every name the analyze verb could call it by
+        monkeypatch.setattr(lm, "evaluate_stream", counting)
+        monkeypatch.setattr(cli, "evaluate_stream", counting, raising=False)
+        assert run(["analyze", "--checkpoint", str(ckpt), "--checkpoint", str(ckpt2),
+                    "--corpus", str(valid_f), "--out", str(tmp_path / "reports")]) == 0
+        assert sorted(calls.values()) == [1, 1]
+
     def test_tune_emits_ranked_table(self, tmp_path, rng, capsys, monkeypatch):
         import sublm.training as training_mod
         monkeypatch.setattr(training_mod, "sample_dims",
@@ -217,6 +237,18 @@ class TestInputErrors:
         assert run(["params", "--config", str(cfg)]) == 4
         errors = error_lines(capsys)
         assert errors and "line 3" in errors[0]
+
+
+class TestOutOfRangeKeys:
+    @pytest.mark.parametrize("key,value", [
+        ("highway_layers", -1), ("sample_fraction", -0.5), ("sample_fraction", 0),
+    ], ids=["negative-highway-layers", "negative-sample-fraction", "zero-sample-fraction"])
+    def test_params_exits_4(self, tmp_path, rng, capsys, key, value):
+        train_f, valid_f = write_demo_corpus(tmp_path, rng)
+        cfg = write_demo_config(tmp_path, train_f, valid_f, **{key: value})
+        assert run(["params", "--config", str(cfg)]) == 4
+        errors = error_lines(capsys)
+        assert errors and key in errors[0]
 
 
 class TestDivergence:

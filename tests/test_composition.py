@@ -38,6 +38,18 @@ def random_batch(rng, m=3, n=4):
     return word_ids, rows, lengths
 
 
+def recorded_ops(out):
+    """Sorted op names of every recorded node behind ``out``."""
+    seen, ops, stack = set(), [], [out]
+    while stack:
+        node = stack.pop()
+        if node._backward is not None and node.node_id not in seen:
+            seen.add(node.node_id)
+            ops.append(node.op)
+            stack.extend(node._parents)
+    return sorted(ops)
+
+
 class TestConfig:
     def test_cnn_width_table(self):
         # widths [1..L] with depths [c*l] give d_hw = c * (1 + ... + L)
@@ -93,6 +105,19 @@ class TestHighway:
 
         loss_fn, params = safe_instance(build, 0)
         check_grads(loss_fn, params)
+
+    @pytest.mark.parametrize("layers", [1, 2, 4])
+    def test_whole_stack_is_one_recorded_op(self, rng, layers):
+        hw = HighwayStack(6, layers, uniform_init(rng, 0.3), np.float64)
+        x = T.Tensor(rng.normal(size=(4, 6)))
+        y = hw(x)
+        assert recorded_ops(y) == ["highway"]
+        assert y._parents[0] is x and len(y._parents) == 1 + 4 * layers
+
+    def test_zero_layers_record_nothing(self, rng):
+        hw = HighwayStack(6, 0, zeros_init, np.float64)
+        x = T.Tensor(rng.normal(size=(4, 6)))
+        assert hw(x) is x
 
     def test_dim_mismatch(self, rng):
         hw = HighwayStack(6, 1, zeros_init, np.float64)
@@ -163,23 +188,16 @@ class TestSylCNN:
                               comp(None, rows, lengths).data)
 
     def test_recorded_ops_do_not_grow_with_bank_count(self, rng):
-        # one lookup, one conv op for every bank, then the highway nodes
-        def recorded_ops(banks):
+        # one lookup, one conv op for every bank, then the highway op
+        def ops_for(banks):
             comp = make("syl-cnn", rng, n=6, cnn_banks=banks)
             _, rows, lengths = random_batch(rng, n=6)
-            seen, ops, stack = set(), [], [comp(None, rows, lengths)]
-            while stack:
-                node = stack.pop()
-                if node._backward is not None and node.node_id not in seen:
-                    seen.add(node.node_id)
-                    ops.append(node.op)
-                    stack.extend(node._parents)
-            return sorted(ops)
+            return recorded_ops(comp(None, rows, lengths))
 
-        one = recorded_ops(((1, 2),))
-        six = recorded_ops(tuple((w, 2) for w in range(1, 7)))
+        one = ops_for(((1, 2),))
+        six = ops_for(tuple((w, 2) for w in range(1, 7)))
         assert one == six
-        assert one.count("lookup") == 1 and one.count("conv1d_max_over_time") == 1
+        assert one == ["conv1d_max_over_time", "highway", "lookup"]
 
     def test_fd_margin_sees_the_conv_kinks(self, rng):
         # no highway, so no relu: only the conv op can make the margin finite
@@ -277,6 +295,13 @@ class TestSylConcat:
         lengths = np.array([3, 3])
         out = comp(None, rows, lengths).data
         assert np.array_equal(out[0], out[1])
+
+    def test_fd_margin_sees_the_highway_kinks(self, rng):
+        # the highway op holds the only relu of a syl-concat loss
+        comp = make("syl-concat", rng)
+        _, rows, lengths = random_batch(rng)
+        margin = fd_margin(T.tsum(comp(None, rows, lengths)))
+        assert np.isfinite(margin) and margin > 0.0
 
 
 class TestWordDirect:

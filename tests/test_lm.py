@@ -165,7 +165,8 @@ class TestPerplexity:
         model = toy_model(rng)
         corpus = toy_corpus(rng)
         stream = rng.integers(0, W_VOCAB, size=40)
-        ppl, tps = timed_perplexity(model, stream, corpus, steps=8)
+        ppl, tps, records = timed_perplexity(model, stream, corpus, steps=8)
+        assert len(records) == len(stream) - 1
         assert ppl == pytest.approx(perplexity(model, stream, corpus, steps=8))
         assert tps > 0
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cnn_reference import conv_max_over_time, conv_max_over_time_grads
+from highway_reference import highway
 from lstm_reference import lstm_steps
 from sublm import tensor as T
 from sublm.errors import ConfigError, DimensionError
@@ -9,6 +10,11 @@ from sublm.errors import ConfigError, DimensionError
 
 def t(x):
     return T.Tensor(np.asarray(x, dtype=float))
+
+
+def scalar_product(a, b):
+    """a * b for scalar tensors, as a 1x1 affine map."""
+    return T.tsum(T.affine(T.reshape(a, (1, 1)), T.reshape(b, (1, 1)), t([0.0])))
 
 
 class TestAffine:
@@ -122,6 +128,29 @@ class TestConvMaxOverTime:
             assert np.abs(b.grad - db).max() < 1e-12
 
 
+class TestHighway:
+    """The fused highway op against the per-layer numpy reference."""
+
+    def _instance(self, rng, dtype, layers, m=5, d=4):
+        x = T.Tensor(rng.normal(size=(m, d)), dtype=dtype)
+        params = [tuple(T.Tensor(rng.normal(scale=0.6, size=s), dtype=dtype)
+                        for s in ((d, d), d, (d, d), d)) for _ in range(layers)]
+        return x, params
+
+    @pytest.mark.parametrize("layers", [1, 2, 4])
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_forward_matches_reference(self, rng, dtype, tol, layers):
+        x, params = self._instance(rng, dtype, layers)
+        out = T.highway(x, params)
+        ref, _ = highway(x.data, [[p.data for p in layer] for layer in params])
+        assert out.data.dtype == ref.dtype == dtype
+        assert np.abs(out.data - ref).max() < tol
+
+    def test_no_layers_returns_the_input(self, rng):
+        x, _ = self._instance(rng, np.float64, 0)
+        assert T.highway(x, []) is x
+
+
 class TestSoftmaxXent:
     def test_uniform(self):
         loss, probs = T.softmax_xent(t(np.zeros((3, 10))), np.array([0, 4, 9]))
@@ -183,14 +212,9 @@ class TestBackward:
         T.backward(T.tsum(x))
         assert np.array_equal(x.grad, np.ones((3, 4)))
 
-    def test_product_of_scalars(self):
-        a, b = t(2.0), t(5.0)
-        T.backward(T.mul(a, b))
-        assert a.grad == 5.0 and b.grad == 2.0
-
     def test_repeated_calls_accumulate(self):
         a, b = t(2.0), t(5.0)
-        y = T.mul(a, b)
+        y = scalar_product(a, b)
         T.backward(y)
         T.backward(y)
         assert a.grad == 10.0 and b.grad == 4.0
@@ -200,12 +224,13 @@ class TestBackward:
         w = t(rng.normal(size=(4, 4)))
         b = t(rng.normal(size=4))
         loss1 = T.tsum(T.tanh(T.affine(x, w, b)))
-        loss2 = T.tmean(T.relu(T.affine(x, w, b)))
+        # one highway layer whose gate and body share w and b
+        loss2 = T.tmean(T.highway(x, [(w, b, w, b)]))
         T.backward(T.add(loss1, loss2))
         joint = (x.grad.copy(), w.grad.copy(), b.grad.copy())
         x.grad = w.grad = b.grad = None
         T.backward(T.tsum(T.tanh(T.affine(x, w, b))))
-        T.backward(T.tmean(T.relu(T.affine(x, w, b))))
+        T.backward(T.tmean(T.highway(x, [(w, b, w, b)])))
         assert np.abs(joint[0] - x.grad).max() < 1e-12
         assert np.abs(joint[1] - w.grad).max() < 1e-12
         assert np.abs(joint[2] - b.grad).max() < 1e-12
@@ -216,7 +241,7 @@ class TestBackward:
 
     def test_shared_subgraph(self):
         x, y = t(2.0), t(-4.0)
-        q = T.mul(T.add(x, y), T.add(x, t(1.0)))
+        q = scalar_product(T.add(x, y), T.add(x, t(1.0)))
         T.backward(q)
         assert x.grad == 1.0 and y.grad == 3.0
 
