@@ -200,14 +200,22 @@ def cmd_tune(args) -> int:
     return EXIT_OK
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip()]
+def _list_flag(kind, expected: str, valid=lambda values: True):
+    """An argparse type for a comma-separated list; a bad value is a usage error."""
+    def parse(text: str) -> list:
+        try:
+            values = [kind(v) for v in text.split(",") if v.strip()]
+        except ValueError:
+            values = None
+        if values is None or not valid(values):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return values
+    return parse
 
 
 def cmd_analyze(args) -> int:
     if not args.checkpoint:
         raise ConfigError("analyze needs at least one --checkpoint")
-    os.makedirs(args.out, exist_ok=True)
     models = []
     shared_vocabs = None
     corpus = None
@@ -224,10 +232,18 @@ def cmd_analyze(args) -> int:
                 "checkpoints being compared use different vocabularies")
         models.append((name, model))
 
+    freq_bins = args.freq_bins or default_freq_bins(int(shared_vocabs.word_freq.max()))
+    target_freqs = shared_vocabs.word_freq[corpus.streams["eval"][1:]]
+    missed = target_freqs[(target_freqs < freq_bins[0]) | (target_freqs >= freq_bins[-1])]
+    if missed.size:
+        raise ConfigError(f"--freq-bins {freq_bins} miss the training frequency "
+                          f"{missed[0]} of an evaluation token")
+
     rows, text, raw = eval_report(models, [("eval", corpus.streams["eval"])],
                                   corpus, steps=steps)
     all_records = {name: records_from_eval(raw[name, "eval"], shared_vocabs)
                    for name, _ in models}
+    os.makedirs(args.out, exist_ok=True)
     for name, records in all_records.items():
         with open(os.path.join(args.out, f"records_{name}.tsv"), "w",
                   encoding="utf-8") as f:
@@ -239,8 +255,6 @@ def cmd_analyze(args) -> int:
             f.write("\t".join(str(v) for v in row) + "\n")
     print(text, end="")
 
-    freq_bins = ([int(v) for v in args.freq_bins.split(",")] if args.freq_bins
-                 else default_freq_bins(int(shared_vocabs.word_freq.max())))
     with open(os.path.join(args.out, "freq_ppl.tsv"), "w", encoding="utf-8") as f:
         f.write("model\tfreq_lo\tfreq_hi\tcount\tppl\n")
         for name, records in all_records.items():
@@ -249,18 +263,17 @@ def cmd_analyze(args) -> int:
                 f.write(f"{name}\t{lo}\t{hi}\t{count}\t"
                         f"{'' if ppl is None else f'{ppl:.4f}'}\n")
 
-    thresholds = _float_list(args.pca_thresholds)
     with open(os.path.join(args.out, "pca.tsv"), "w", encoding="utf-8") as f:
-        f.write("model\t" + "\t".join(f"{t:g}" for t in thresholds) + "\n")
+        f.write("model\t" + "\t".join(f"{t:g}" for t in args.pca_thresholds) + "\n")
         for name, model in models:
             emb = vocabulary_embeddings(model, corpus)
-            counts = pca_component_counts(emb, thresholds)
+            counts = pca_component_counts(emb, args.pca_thresholds)
             f.write(name + "\t" + "\t".join(str(c) for c in counts) + "\n")
 
     if len(models) == 2:
-        grid = _float_list(args.p_star_grid)
         (name_a, _), (name_b, _) = models
-        table = shared_errors_table(all_records[name_a], all_records[name_b], grid)
+        table = shared_errors_table(all_records[name_a], all_records[name_b],
+                                    args.p_star_grid)
         with open(os.path.join(args.out, "shared_errors.tsv"), "w",
                   encoding="utf-8") as f:
             f.write("p_star\terr_%s\terr_%s\tfrac_shared\n" % (name_a, name_b))
@@ -326,9 +339,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--steps", type=int, default=0)
-    p.add_argument("--p-star-grid", default="0.001,0.01,0.05,0.1,0.2,0.5")
-    p.add_argument("--freq-bins", default="", help="comma-separated bin edges")
-    p.add_argument("--pca-thresholds", default="0.8,0.9,0.95,0.99")
+    p.add_argument("--p-star-grid", default="0.001,0.01,0.05,0.1,0.2,0.5",
+                   type=_list_flag(float, "comma-separated numbers"))
+    p.add_argument("--freq-bins", default="", help="comma-separated bin edges",
+                   type=_list_flag(int, "two or more increasing integer bin edges",
+                                   lambda v: not v or (len(v) > 1 and sorted(v) == v)))
+    p.add_argument("--pca-thresholds", default="0.8,0.9,0.95,0.99",
+                   type=_list_flag(float, "comma-separated fractions in (0, 1)",
+                                   lambda v: all(0.0 < t < 1.0 for t in v)))
     p.set_defaults(func=cmd_analyze)
     return parser
 

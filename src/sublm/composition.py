@@ -211,6 +211,8 @@ class SylLinear(Composer):
     sum: alpha = 1.  avg: alpha = 1/n_w.  avg-a: alpha = softmax of a learned
     per-position score vector, renormalized over the word's real positions.
     avg-b: scores additionally depend on the subword type at each position.
+    The learned flavors pool with :func:`tensor.attention_pool`, the fixed
+    ones with :func:`tensor.weighted_sum_time`.
     """
 
     def __init__(self, config, vocab_size, subword_vocab_size, init, dtype):
@@ -228,27 +230,25 @@ class SylLinear(Composer):
         self.highway = HighwayStack(config.d_s, config.highway_layers, init, dtype)
         self.params.update(self.highway.params)
 
-    def attention(self, rows: np.ndarray, lengths: np.ndarray):
-        """The alpha weights for one batch: Tensor for learned flavors, array else."""
-        rows = np.asarray(rows)
+    def attention(self, rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """The (m, width) alpha weights of one batch, as a plain array."""
         lengths = np.asarray(lengths)
-        m, width = rows.shape
-        variant = self.config.variant
-        if variant == "syl-sum":
-            return (np.arange(width) < lengths[:, None]).astype(self.e_s.data.dtype)
-        if variant == "syl-avg":
-            mask = (np.arange(width) < lengths[:, None]).astype(self.e_s.data.dtype)
-            return mask / lengths[:, None].astype(mask.dtype)
-        if variant == "syl-avg-a":
-            scores = T.tile_rows(T.slice_rows(self.a, 0, width), m)
-            return T.masked_softmax(scores, lengths)
-        scores = T.add(T.position_scores(self.a_mat, rows),
-                       T.tile_rows(T.slice_rows(self.b_vec, 0, width), m))
-        return T.masked_softmax(scores, lengths)
+        if self.config.variant in ("syl-avg-a", "syl-avg-b"):
+            with T.no_grad():
+                return self.combine(rows, lengths).meta
+        mask = (np.arange(np.shape(rows)[1]) < lengths[:, None]).astype(self.e_s.data.dtype)
+        if self.config.variant == "syl-sum":
+            return mask
+        return mask / lengths[:, None].astype(mask.dtype)
 
     def combine(self, rows, lengths) -> Tensor:
         """The linear combination before the highway stack."""
-        seq = T.lookup(self.e_s, np.asarray(rows))
+        rows = np.asarray(rows)
+        seq = T.lookup(self.e_s, rows)
+        if self.config.variant == "syl-avg-a":
+            return T.attention_pool(seq, lengths, self.a)
+        if self.config.variant == "syl-avg-b":
+            return T.attention_pool(seq, lengths, self.b_vec, self.a_mat, rows)
         return T.weighted_sum_time(seq, self.attention(rows, lengths))
 
     def __call__(self, word_ids, rows, lengths):
@@ -257,7 +257,8 @@ class SylLinear(Composer):
 
 class SylConcat(Composer):
     """Concatenate subword vectors (zero vectors past the word's length),
-    project to the highway width, then highway."""
+    project to the highway width, then highway: three recorded ops,
+    :func:`tensor.masked_concat`, ``affine`` and :func:`tensor.highway`."""
 
     def __init__(self, config, vocab_size, subword_vocab_size, init, dtype):
         super().__init__(config)
@@ -272,15 +273,11 @@ class SylConcat(Composer):
 
     def concat_vector(self, rows, lengths) -> Tensor:
         """The zero-padded concatenation before projection, width n*d_s."""
-        rows = np.asarray(rows)
-        m, width = rows.shape
+        width = np.shape(rows)[1]
         if width != self.config.n:
             raise ConfigError(
                 f"syl-concat was built for n={self.config.n}, got rows of width {width}")
-        seq = T.lookup(self.e_s, rows)
-        mask = (np.arange(width) < np.asarray(lengths)[:, None])
-        masked = T.mul_array(seq, mask[:, :, None].astype(seq.data.dtype))
-        return T.reshape(masked, (m, width * self.config.d_s))
+        return T.masked_concat(self.e_s, rows, lengths)
 
     def __call__(self, word_ids, rows, lengths):
         x = self.concat_vector(rows, lengths)

@@ -197,7 +197,7 @@ def batch_stream(stream: np.ndarray, batch_size: int, steps: int):
     """
     needed = batch_size * (steps + 1)
     if len(stream) < needed:
-        raise ValueError(
+        raise ConfigError(
             f"stream of {len(stream)} tokens is too short for "
             f"batch_size={batch_size}, steps={steps}: need at least {needed}")
     lane_len = len(stream) // batch_size
@@ -213,8 +213,10 @@ def eval_windows(stream: np.ndarray, steps: int):
     The final window may be shorter than ``steps`` so that no token is
     skipped; the target count over all windows is ``len(stream) - 1``.
     """
+    if steps < 1:
+        raise ConfigError(f"evaluation window must be at least 1 token, got {steps}")
     if len(stream) < 2:
-        raise ValueError("evaluation stream needs at least two tokens")
+        raise ConfigError("evaluation stream needs at least two tokens")
     for lo in range(0, len(stream) - 1, steps):
         hi = min(lo + steps, len(stream) - 1)
         yield stream[lo:hi][None, :], stream[lo + 1:hi + 1][None, :], lo > 0

@@ -9,7 +9,10 @@ layer over a window is one recorded op (:func:`lstm`) with its own
 backpropagation through time, so a window's recording does not grow with
 its length; likewise all of a CNN composer's convolution banks, with their
 tanh and max-over-time pooling, are one op (:func:`conv1d_max_over_time`),
-and so is a whole highway stack, gates and all (:func:`highway`).
+and so is a whole highway stack, gates and all (:func:`highway`).  Syl-Concat's
+zero-padded subword concatenation is one op (:func:`masked_concat`), and so
+is the learned attention of Syl-Avg-A/B, scores, masked softmax and weighted
+sum together (:func:`attention_pool`).
 
 Default precision is 64-bit; 32-bit is opt-in per tensor.  Reductions run in
 a fixed order, so results are bitwise reproducible for a fixed BLAS thread
@@ -246,12 +249,6 @@ def tmean(a: Tensor) -> Tensor:
     return custom_op(a.data.mean(), "mean", (a,), bw)
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    orig = a.data.shape
-    return custom_op(a.data.reshape(shape), "reshape", (a,),
-                     lambda g: (g.reshape(orig),))
-
-
 def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     def bw(g):
         def scatter(buf):
@@ -260,11 +257,15 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     return custom_op(a.data[start:stop], "slice_rows", (a,), bw)
 
 
+def _check_ids(name: str, table: Tensor, ids: np.ndarray) -> None:
+    if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
+        raise IndexError(f"{name}: id out of range for table with {table.data.shape[0]} rows")
+
+
 def lookup(table: Tensor, ids: np.ndarray) -> Tensor:
     """Row lookup ``table[ids]``; gradients flow only to looked-up rows."""
     ids = np.asarray(ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
-        raise IndexError(f"lookup: id out of range for table with {table.data.shape[0]} rows")
+    _check_ids("lookup", table, ids)
     width = table.data.shape[1]
     def bw(g):
         def scatter(buf):
@@ -273,63 +274,69 @@ def lookup(table: Tensor, ids: np.ndarray) -> Tensor:
     return custom_op(table.data[ids], "lookup", (table,), bw)
 
 
-def position_scores(table: Tensor, ids: np.ndarray) -> Tensor:
-    """out[i, t] = table[ids[i, t], t]; a per-type, per-position gather."""
-    ids = np.asarray(ids)
-    m, n = ids.shape
-    if n > table.data.shape[1]:
-        raise DimensionError(
-            f"position_scores: {n} positions exceed table width {table.data.shape[1]}")
-    cols = np.broadcast_to(np.arange(n), (m, n))
+def masked_concat(table: Tensor, rows: np.ndarray, lengths: np.ndarray) -> Tensor:
+    """out[i] = the rows ``table[rows[i, t]]`` side by side, zeros for t >= ``lengths[i]``."""
+    rows = np.asarray(rows)
+    _check_ids("masked_concat", table, rows)
+    (m, n), d = rows.shape, table.data.shape[1]
+    mask = (np.arange(n) < np.asarray(lengths)[:, None])[:, :, None].astype(table.data.dtype)
     def bw(g):
         def scatter(buf):
-            np.add.at(buf, (ids, cols), g)
+            np.add.at(buf, rows.reshape(-1), (g.reshape(m, n, d) * mask).reshape(-1, d))
         return (scatter,)
-    return custom_op(table.data[ids, cols], "position_scores", (table,), bw)
+    return custom_op((table.data[rows] * mask).reshape(m, n * d), "masked_concat", (table,), bw)
 
 
-def tile_rows(v: Tensor, count: int) -> Tensor:
-    """Repeat a vector as ``count`` identical rows."""
-    out = np.broadcast_to(v.data, (count,) + v.data.shape).copy()
-    return custom_op(out, "tile_rows", (v,), lambda g: (g.sum(axis=0),))
-
-
-def masked_softmax(scores: Tensor, lengths: np.ndarray) -> Tensor:
-    """Row-wise softmax over the first ``lengths[i]`` entries; rest exactly 0."""
-    sv = scores.data
-    m, n = sv.shape
-    lengths = np.asarray(lengths)
-    if lengths.min() < 1:
-        raise ValueError("masked_softmax: every row needs at least one valid entry")
-    valid = np.arange(n) < lengths[:, None]
-    z = np.where(valid, sv, -np.inf)
-    zmax = z.max(axis=1, keepdims=True)
-    e = np.exp(z - zmax)
-    alpha = e / e.sum(axis=1, keepdims=True)
-    def bw(g):
-        dot = (g * alpha).sum(axis=1, keepdims=True)
-        return (alpha * (g - dot),)
-    return custom_op(alpha, "masked_softmax", (scores,), bw)
-
-
-def weighted_sum_time(seq: Tensor, alpha) -> Tensor:
-    """out[i] = sum_t alpha[i, t] * seq[i, t, :].
-
-    ``alpha`` may be a Tensor (learned weights) or a plain array (fixed
-    weights or masks); only Tensor weights receive gradients.
-    """
+def weighted_sum_time(seq: Tensor, alpha: np.ndarray) -> Tensor:
+    """out[i] = sum_t alpha[i, t] * seq[i, t, :] for fixed weights (or masks)."""
     sv = seq.data
-    av = alpha.data if isinstance(alpha, Tensor) else np.asarray(alpha)
+    av = np.asarray(alpha)
     if av.shape != sv.shape[:2]:
         raise DimensionError(f"weighted_sum_time: weights {av.shape} vs sequence {sv.shape}")
     out = np.einsum("mn,mnd->md", av, sv)
-    if isinstance(alpha, Tensor):
-        def bw(g):
-            return (av[:, :, None] * g[:, None, :], np.einsum("mnd,md->mn", sv, g))
-        return custom_op(out, "weighted_sum_time", (seq, alpha), bw)
+    return custom_op(out, "weighted_sum_time", (seq,),
+                     lambda g: (av[:, :, None] * g[:, None, :],))
+
+
+def attention_pool(seq: Tensor, lengths: np.ndarray, bias: Tensor,
+                   table: Tensor | None = None, rows: np.ndarray | None = None) -> Tensor:
+    """Learned attention over time, as one op: out[i] = sum_t alpha[i, t] * seq[i, t, :].
+
+    The scores are ``bias[t]``, plus ``table[rows[i, t], t]`` when a table is
+    given; alpha is their softmax over t < ``lengths[i]`` and exactly 0
+    beyond.  ``meta`` holds alpha.
+    """
+    sv = seq.data
+    m, n = sv.shape[:2]
+    lengths = np.asarray(lengths)
+    if lengths.min() < 1:
+        raise ValueError("attention_pool: every row needs at least one valid entry")
+    if n > bias.data.shape[0] or (table is not None and n > table.data.shape[1]):
+        raise DimensionError(f"attention_pool: {n} positions exceed the score width")
+    scores = np.broadcast_to(bias.data[:n], (m, n))
+    if table is not None:
+        rows = np.asarray(rows)
+        cols = np.broadcast_to(np.arange(n), (m, n))
+        scores = table.data[rows, cols] + scores
+    z = np.where(np.arange(n) < lengths[:, None], scores, -np.inf)
+    zmax = z.max(axis=1, keepdims=True)
+    e = np.exp(z - zmax)
+    alpha = e / e.sum(axis=1, keepdims=True)
+
     def bw(g):
-        return (av[:, :, None] * g[:, None, :],)
-    return custom_op(out, "weighted_sum_time", (seq,), bw)
+        d_alpha = np.einsum("mnd,md->mn", sv, g)
+        dot = (d_alpha * alpha).sum(axis=1, keepdims=True)
+        d_scores = alpha * (d_alpha - dot)
+        def bias_scatter(buf):
+            buf[:n] += d_scores.sum(axis=0)
+        def table_scatter(buf):
+            np.add.at(buf, (rows, cols), d_scores)
+        return (alpha[:, :, None] * g[:, None, :], bias_scatter, table_scatter)[:len(parents)]
+
+    parents = (seq, bias) if table is None else (seq, bias, table)
+    out = custom_op(np.einsum("mn,mnd->md", alpha, sv), "attention_pool", parents, bw)
+    out.meta = alpha
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -271,8 +271,10 @@ def propose_trials(base: TrainConfig, budget: int, trials: int,
     """Rejection-sample dimension draws until ``trials`` fit the budget.
 
     Draws violating d_s < d_lm or the budget band are rejected.  Raises when
-    the draw allowance is exhausted with nothing accepted.
+    ``trials`` < 1 or the draw allowance is exhausted with nothing accepted.
     """
+    if trials < 1:
+        raise ConfigError(f"random search needs at least 1 trial, got {trials}")
     tol = base.budget_tolerance if tolerance is None else tolerance
     rng = np.random.default_rng(seed)
     accepted: list[Trial] = []

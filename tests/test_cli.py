@@ -208,6 +208,94 @@ class TestPipeline:
         assert ppls == sorted(ppls)
 
 
+@pytest.fixture()
+def one_epoch(tmp_path, rng, capsys):
+    """A checkpoint trained for one epoch on the demo corpus, and its valid file."""
+    train_f, valid_f = write_demo_corpus(tmp_path, rng)
+    cfg = write_demo_config(tmp_path, train_f, valid_f, max_epochs=1)
+    ckpt = tmp_path / "model.ckpt"
+    assert run(["train", "--config", str(cfg), "--out", str(ckpt)]) == 0
+    capsys.readouterr()
+    return ckpt, valid_f
+
+
+class TestWindowSizes:
+    """Window sizes and streams no window fits: exit 4 with an error line."""
+
+    def test_eval_nonpositive_steps(self, one_epoch, capsys):
+        ckpt, valid_f = one_epoch
+        assert run(["eval", "--checkpoint", str(ckpt), "--corpus", str(valid_f),
+                    "--steps", "-3"]) == 4
+        assert error_lines(capsys)
+
+    def test_analyze_nonpositive_steps(self, one_epoch, tmp_path, capsys):
+        ckpt, valid_f = one_epoch
+        out_dir = tmp_path / "reports"
+        assert run(["analyze", "--checkpoint", str(ckpt), "--corpus", str(valid_f),
+                    "--out", str(out_dir), "--steps", "-2"]) == 4
+        assert error_lines(capsys)
+        assert not out_dir.exists()
+
+    def test_eval_blank_corpus(self, one_epoch, tmp_path, capsys):
+        ckpt, _ = one_epoch
+        blank = tmp_path / "blank.txt"
+        blank.write_text("\n\n")
+        assert run(["eval", "--checkpoint", str(ckpt), "--corpus", str(blank)]) == 4
+        assert error_lines(capsys)
+
+    def test_train_empty_valid(self, tmp_path, rng, capsys):
+        train_f, valid_f = write_demo_corpus(tmp_path, rng)
+        valid_f.write_text("")
+        cfg = write_demo_config(tmp_path, train_f, valid_f, max_epochs=1)
+        ckpt = tmp_path / "model.ckpt"
+        assert run(["train", "--config", str(cfg), "--out", str(ckpt)]) == 4
+        assert error_lines(capsys)
+        assert not ckpt.exists()
+
+    def test_train_corpus_shorter_than_one_batch(self, tmp_path, rng, capsys):
+        train_f, valid_f = write_demo_corpus(tmp_path, rng)
+        train_f.write_text("paper model\n")  # 3 tokens, batch 4 x (bptt 5 + 1) needed
+        cfg = write_demo_config(tmp_path, train_f, valid_f)
+        ckpt = tmp_path / "model.ckpt"
+        assert run(["train", "--config", str(cfg), "--out", str(ckpt)]) == 4
+        assert error_lines(capsys)
+        assert not ckpt.exists()
+
+
+class TestAnalyzeFlags:
+    """List flags are checked before any checkpoint loads or output is written."""
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--pca-thresholds", "0.8,abc"), ("--pca-thresholds", "1.5"),
+        ("--freq-bins", "5,1"), ("--freq-bins", "5"), ("--freq-bins", "1,x"),
+        ("--p-star-grid", "0.1,abc"),
+    ], ids=["pca-not-a-number", "pca-above-one", "bins-decreasing", "bins-single-edge",
+            "bins-not-an-int", "p-star-not-a-number"])
+    def test_malformed_value_exits_2(self, one_epoch, tmp_path, capsys, flag, value):
+        ckpt, valid_f = one_epoch
+        out_dir = tmp_path / "reports"
+        assert run(["analyze", "--checkpoint", str(ckpt), "--corpus", str(valid_f),
+                    "--out", str(out_dir), flag, value]) == 2
+        assert flag in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_malformed_value_exits_2_before_loading(self, tmp_path, capsys):
+        # the checkpoint does not exist, so loading it would exit 3
+        assert run(["analyze", "--checkpoint", str(tmp_path / "none.ckpt"),
+                    "--corpus", str(tmp_path / "none.txt"), "--out", str(tmp_path),
+                    "--pca-thresholds", "1.5"]) == 2
+
+    def test_bins_missing_a_token_frequency_exit_4(self, one_epoch, tmp_path, capsys):
+        # every demo word occurs far more than 10 times in training
+        ckpt, valid_f = one_epoch
+        out_dir = tmp_path / "reports"
+        assert run(["analyze", "--checkpoint", str(ckpt), "--corpus", str(valid_f),
+                    "--out", str(out_dir), "--freq-bins", "5,10"]) == 4
+        errors = error_lines(capsys)
+        assert errors and "--freq-bins" in errors[0]
+        assert not out_dir.exists()
+
+
 def error_lines(capsys):
     return [line for line in capsys.readouterr().err.splitlines()
             if line.startswith("error: ")]

@@ -148,27 +148,31 @@ def test_lookup_and_masked_ops(seed):
     bias = t(rng, 5)
     ids = rng.integers(0, 8, size=(3, 5))
     lengths = rng.integers(1, 6, size=3)
+    weights = rng.normal(size=(3, 20))
 
-    def loss():
-        seq = T.lookup(table, ids)
-        scores = T.add(T.position_scores(amat, ids), T.tile_rows(bias, 3))
-        alpha = T.masked_softmax(scores, lengths)
-        return T.tsum(T.weighted_sum_time(seq, alpha))
-
-    check_grads(loss, {"table": table, "amat": amat, "bias": bias})
+    # attention pooling with per-position scores alone and with a score table too
+    check_grads(lambda: T.tsum(T.attention_pool(T.lookup(table, ids), lengths, bias)),
+                {"table": table, "bias": bias})
+    check_grads(lambda: T.tsum(T.attention_pool(T.lookup(table, ids), lengths, bias,
+                                                 amat, ids)),
+                {"table": table, "amat": amat, "bias": bias})
+    check_grads(lambda: T.tsum(T.mul_array(T.masked_concat(table, ids, lengths), weights)),
+                {"table": table})
 
 
 @pytest.mark.parametrize("seed", SEEDS[:10])
 def test_structural_ops(seed):
     rng = np.random.default_rng(seed)
-    a, b = t(rng, 4, 3), t(rng, 3)
+    a = t(rng, 4, 3)
+    ids = rng.integers(0, 3, size=(2, 4))
+    lengths = rng.integers(1, 5, size=2)
 
     def loss():
-        bottom = T.add(T.slice_rows(a, 2, 4), T.tile_rows(b, 2))
-        joined = T.add(T.tanh(T.slice_rows(a, 0, 2)), bottom)
-        return T.tmean(T.tanh(T.reshape(joined, (3, 2))))
+        # the concatenated table is itself an op output: rows 1..3 of tanh(a)
+        table = T.tanh(T.slice_rows(a, 1, 4))
+        return T.tmean(T.tanh(T.masked_concat(table, ids, lengths)))
 
-    check_grads(loss, {"a": a, "b": b})
+    check_grads(loss, {"a": a})
 
 
 def test_rel_err_helper_detects_mismatch(rng):
@@ -178,9 +182,9 @@ def test_rel_err_helper_detects_mismatch(rng):
 
 
 def test_numeric_grad_on_quadratic():
-    x = T.Tensor(np.array([2.0, -1.0]))
-    zero = T.Tensor(np.zeros(1))
-    # x . x as the 1x1 product of x as a row and x as a column
-    num = numeric_grad(
-        lambda: T.tsum(T.affine(T.reshape(x, (1, 2)), T.reshape(x, (2, 1)), zero)), x)
-    assert np.abs(num - 2 * x.data).max() < 1e-8
+    x = T.Tensor(np.array([[2.0, -1.0], [0.5, 3.0]]))
+    zero = T.Tensor(np.zeros(2))
+    # d sum(x @ x) / d x[a, b] = (row sum of x)[b] + (column sum of x)[a]
+    num = numeric_grad(lambda: T.tsum(T.affine(x, x, zero)), x)
+    want = x.data.sum(axis=1)[None, :] + x.data.sum(axis=0)[:, None]
+    assert np.abs(num - want).max() < 1e-8

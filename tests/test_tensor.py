@@ -13,8 +13,8 @@ def t(x):
 
 
 def scalar_product(a, b):
-    """a * b for scalar tensors, as a 1x1 affine map."""
-    return T.tsum(T.affine(T.reshape(a, (1, 1)), T.reshape(b, (1, 1)), t([0.0])))
+    """a * b for 1x1 tensors, as a 1x1 affine map."""
+    return T.tsum(T.affine(a, b, t([0.0])))
 
 
 class TestAffine:
@@ -213,11 +213,11 @@ class TestBackward:
         assert np.array_equal(x.grad, np.ones((3, 4)))
 
     def test_repeated_calls_accumulate(self):
-        a, b = t(2.0), t(5.0)
+        a, b = t([[2.0]]), t([[5.0]])
         y = scalar_product(a, b)
         T.backward(y)
         T.backward(y)
-        assert a.grad == 10.0 and b.grad == 4.0
+        assert a.grad.tolist() == [[10.0]] and b.grad.tolist() == [[4.0]]
 
     def test_linearity_of_summed_losses(self, rng):
         x = t(rng.normal(size=(4, 4)))
@@ -240,10 +240,10 @@ class TestBackward:
             T.backward(t(rng.normal(size=(2, 2))))
 
     def test_shared_subgraph(self):
-        x, y = t(2.0), t(-4.0)
-        q = scalar_product(T.add(x, y), T.add(x, t(1.0)))
+        x, y = t([[2.0]]), t([[-4.0]])
+        q = scalar_product(T.add(x, y), T.add(x, t([[1.0]])))
         T.backward(q)
-        assert x.grad == 1.0 and y.grad == 3.0
+        assert x.grad.tolist() == [[1.0]] and y.grad.tolist() == [[3.0]]
 
     def test_grads_land_on_leaves_only(self, rng):
         x = t(rng.normal(size=(2, 3)))
@@ -277,19 +277,28 @@ class TestOpsMisc:
             T.lookup(t(rng.normal(size=(4, 2))), np.array([4]))
 
     def test_masked_softmax_rows(self, rng):
-        scores = t(rng.normal(size=(3, 5)))
-        alpha = T.masked_softmax(scores, np.array([1, 3, 5]))
-        assert np.abs(alpha.data.sum(axis=1) - 1.0).max() < 1e-12
-        assert np.all(alpha.data[0, 1:] == 0.0)
-        assert np.all(alpha.data[1, 3:] == 0.0)
+        # attention_pool's weights: a softmax over each row's first lengths[i] entries
+        seq = t(rng.normal(size=(3, 5, 2)))
+        bias = t(rng.normal(size=6))
+        table = t(rng.normal(size=(4, 5)))
+        ids = rng.integers(0, 4, size=(3, 5))
+        for out in (T.attention_pool(seq, np.array([1, 3, 5]), bias),
+                    T.attention_pool(seq, np.array([1, 3, 5]), bias, table, ids)):
+            alpha = out.meta
+            assert np.abs(alpha.sum(axis=1) - 1.0).max() < 1e-12
+            assert np.all(alpha[0, 1:] == 0.0)
+            assert np.all(alpha[1, 3:] == 0.0)
+            assert np.all(alpha[2] > 0.0)
+            assert np.abs(out.data - np.einsum("mn,mnd->md", alpha, seq.data)).max() < 1e-15
 
     def test_concat_and_slices_roundtrip(self, rng):
-        # rows of a reshaped tensor send their gradients back to the source cells
-        a = t(rng.normal(size=(2, 3)))
-        flat = T.reshape(a, (3, 2))  # rows: a00 a01 | a02 a10 | a11 a12
-        col_weights = np.array([1.0, 2.0])
-        T.backward(T.tsum(T.mul_array(T.slice_rows(flat, 1, 3), col_weights)))
-        assert a.grad.tolist() == [[0.0, 0.0, 1.0], [2.0, 1.0, 2.0]]
+        # row 1 of a masked concatenation sends its gradients back to the source rows
+        a = t(rng.normal(size=(3, 2)))
+        flat = T.masked_concat(a, np.array([[0, 1, 0], [2, 1, 0]]), np.array([3, 2]))
+        assert flat.data[1].tolist() == a.data[2].tolist() + a.data[1].tolist() + [0.0, 0.0]
+        col_weights = np.arange(1.0, 7.0)
+        T.backward(T.tsum(T.mul_array(T.slice_rows(flat, 1, 2), col_weights)))
+        assert a.grad.tolist() == [[0.0, 0.0], [3.0, 4.0], [1.0, 2.0]]
 
     def test_conv_width_exceeds_positions(self, rng):
         seq = t(rng.normal(size=(2, 3, 4)))

@@ -375,6 +375,16 @@ class TestRandomSearch:
             propose_trials(base, budget=1000, trials=2, sizes=PAPER_SIZES,
                            seed=0, tolerance=0.01, max_draws=200)
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_fewer_than_one_trial_raises(self, monkeypatch, trials):
+        # every toy draw fits the wide band, so only the trial count can raise
+        import sublm.training as training_mod
+        monkeypatch.setattr(training_mod, "sample_dims", lambda rng: (4, 8, 10))
+        sizes = ModelSizes(vocab_size=20, subword_vocab_size=15, max_subwords=4)
+        with pytest.raises(ConfigError):
+            propose_trials(tiny_config(), budget=5_000, trials=trials, sizes=sizes,
+                           seed=0, tolerance=0.99, max_draws=5)
+
     def test_end_to_end_tiny_search(self, monkeypatch):
         # isolates the train-and-rank wiring from the paper-scale marginals
         # (those are covered above) by sampling toy dimensions instead
