@@ -161,7 +161,14 @@ class WordDirect(Composer):
 
 
 class SylLSTM(Composer):
-    """Run an LSTM over the subword vectors; the last real state is the word."""
+    """Run an LSTM over the subword vectors; the last real state is the word.
+
+    The words run as packed sequences: sorted longest first, step k of the
+    LSTM takes only the words that have a k-th subword, so no step is spent
+    on padding.  Three recorded ops: the packed subword ``lookup``, the
+    ``lstm`` and a ``lookup`` of each word's last real output row, in the
+    caller's order.
+    """
 
     def __init__(self, config, vocab_size, subword_vocab_size, init, dtype):
         super().__init__(config)
@@ -173,11 +180,17 @@ class SylLSTM(Composer):
     def __call__(self, word_ids, rows, lengths):
         lengths = np.asarray(lengths)
         m, steps = len(lengths), int(lengths.max())
-        x = T.lookup(self.e_s, np.asarray(rows)[:, :steps].T.reshape(-1))
+        order = np.argsort(-lengths, kind="stable")
+        live = np.arange(steps)[:, None] < lengths[order]  # (steps, m), sorted lanes
+        counts = live.sum(axis=1)
+        x = T.lookup(self.e_s, np.asarray(rows)[order][:, :steps].T[live])
         zeros = np.zeros((m, self.config.d_w), dtype=self.e_s.data.dtype)
-        active = np.arange(steps)[:, None] < lengths
-        out, _, _ = T.lstm(x, zeros, zeros, self.cell, steps, active)
-        return T.slice_rows(out, (steps - 1) * m, steps * m)
+        out, _, _ = T.lstm(x, zeros, zeros, self.cell, steps, counts)
+        # word order[j] ends at packed row offset(lengths - 1) + j
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        last = np.empty(m, dtype=np.int64)
+        last[order] = offsets[lengths[order] - 1] + np.arange(m)
+        return T.lookup(out, last)
 
 
 class SylCNN(Composer):

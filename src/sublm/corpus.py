@@ -207,16 +207,21 @@ def batch_stream(stream: np.ndarray, batch_size: int, steps: int):
         yield lanes[:, lo:lo + steps], lanes[:, lo + 1:lo + steps + 1], j > 0
 
 
+def check_eval_stream(stream: np.ndarray, steps: int) -> None:
+    """Raise :class:`ConfigError` unless ``eval_windows(stream, steps)`` has a window."""
+    if steps < 1:
+        raise ConfigError(f"evaluation window must be at least 1 token, got {steps}")
+    if len(stream) < 2:
+        raise ConfigError("evaluation stream needs at least two tokens")
+
+
 def eval_windows(stream: np.ndarray, steps: int):
     """Batch-1 windows covering every target token exactly once.
 
     The final window may be shorter than ``steps`` so that no token is
     skipped; the target count over all windows is ``len(stream) - 1``.
     """
-    if steps < 1:
-        raise ConfigError(f"evaluation window must be at least 1 token, got {steps}")
-    if len(stream) < 2:
-        raise ConfigError("evaluation stream needs at least two tokens")
+    check_eval_stream(stream, steps)
     for lo in range(0, len(stream) - 1, steps):
         hi = min(lo + steps, len(stream) - 1)
         yield stream[lo:hi][None, :], stream[lo + 1:hi + 1][None, :], lo > 0

@@ -79,12 +79,17 @@ class LanguageModel:
         """Compose word vectors for a (batch, steps) window of word ids.
 
         Returns a time-major flat tensor of shape (steps*batch, d_w): row
-        k*batch + i is the vector of lane i at step k.
+        k*batch + i is the vector of lane i at step k.  Each distinct word
+        of the window is composed once and its vector gathered into every
+        row that holds it; composition depends on the word type alone and
+        has no dropout, so this equals composing every token.  Nothing is
+        kept between calls.
         """
-        word_ids = np.asarray(word_ids)
-        flat = word_ids.T.reshape(-1)
-        return self.composer(flat, corpus.subword_rows[flat],
-                             corpus.row_lengths[flat])
+        flat = np.asarray(word_ids).T.reshape(-1)
+        distinct, inverse = np.unique(flat, return_inverse=True)
+        vectors = self.composer(distinct, corpus.subword_rows[distinct],
+                                corpus.row_lengths[distinct])
+        return T.lookup(vectors, inverse)
 
     def lm_forward(self, x: Tensor, steps: int, state: LMState,
                    mode: str = "eval", rng=None) -> tuple[Tensor, LMState]:
@@ -241,8 +246,9 @@ def sampled_softmax_nll(h: Tensor, w_out: Tensor, b_out: Tensor,
         dlogits = e / z
         dlogits[:, 0] -= 1.0
         dlogits *= g / m
+        # each row's k selected pool positions are distinct: a plain scatter
         d_pool = np.zeros((m, k + 1), dtype=dlogits.dtype)
-        np.add.at(d_pool, (np.arange(m)[:, None], select), dlogits[:, 1:])
+        np.put_along_axis(d_pool, select, dlogits[:, 1:], axis=1)
         dh = dlogits[:, :1] * wv[:, targets].T + d_pool @ wv[:, pool].T
 
         def dw(buf):
@@ -251,7 +257,7 @@ def sampled_softmax_nll(h: Tensor, w_out: Tensor, b_out: Tensor,
 
         def db(buf):
             np.add.at(buf, targets, dlogits[:, 0])
-            np.add.at(buf, pool, d_pool.sum(axis=0))
+            buf[pool] += d_pool.sum(axis=0)  # the pool ids are distinct
 
         return (dh, dw, db)
 

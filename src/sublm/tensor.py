@@ -7,12 +7,15 @@ the leaf tensors it reaches (parameters, inputs); interior nodes keep none.
 Repeated calls accumulate additively until grads are cleared.  A whole LSTM
 layer over a window is one recorded op (:func:`lstm`) with its own
 backpropagation through time, so a window's recording does not grow with
-its length; likewise all of a CNN composer's convolution banks, with their
-tanh and max-over-time pooling, are one op (:func:`conv1d_max_over_time`),
-and so is a whole highway stack, gates and all (:func:`highway`).  Syl-Concat's
-zero-padded subword concatenation is one op (:func:`masked_concat`), and so
-is the learned attention of Syl-Avg-A/B, scores, masked softmax and weighted
-sum together (:func:`attention_pool`).
+its length.  It also runs packed variable-length sequences (a subword
+LSTM's words, longest first, each step over the words still running), so no
+step is spent on padding.  Likewise all of a CNN composer's convolution
+banks, with their tanh and max-over-time pooling, are one op
+(:func:`conv1d_max_over_time`), and so is a whole highway stack, gates and
+all (:func:`highway`).  Syl-Concat's zero-padded subword concatenation is
+one op (:func:`masked_concat`), and so is the learned attention of
+Syl-Avg-A/B, scores, masked softmax and weighted sum together
+(:func:`attention_pool`).
 
 Default precision is 64-bit; 32-bit is opt-in per tensor.  Reductions run in
 a fixed order, so results are bitwise reproducible for a fixed BLAS thread
@@ -249,14 +252,6 @@ def tmean(a: Tensor) -> Tensor:
     return custom_op(a.data.mean(), "mean", (a,), bw)
 
 
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    def bw(g):
-        def scatter(buf):
-            buf[start:stop] += g
-        return (scatter,)
-    return custom_op(a.data[start:stop], "slice_rows", (a,), bw)
-
-
 def _check_ids(name: str, table: Tensor, ids: np.ndarray) -> None:
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
         raise IndexError(f"{name}: id out of range for table with {table.data.shape[0]} rows")
@@ -419,83 +414,92 @@ class LSTMCellParams:
 
 
 def lstm(x: Tensor, h0: np.ndarray, c0: np.ndarray, params: LSTMCellParams,
-         steps: int, active: np.ndarray | None = None):
+         steps: int, counts: np.ndarray | None = None):
     """A standard 4-gate LSTM (no peepholes) over a whole window, as one op.
 
-    ``x`` is time-major, (steps*batch, input_dim): row k*batch + j is lane
-    j at step k.  ``h0`` and ``c0`` are the (batch, hidden) starting state.
     Each step computes c = sigmoid(f)*c_prev + sigmoid(i)*tanh(g) and
-    h = sigmoid(o)*tanh(c).  Where the optional (steps, batch) boolean mask
-    ``active`` is False, the lane keeps its previous h and c.
+    h = sigmoid(o)*tanh(c).  ``x`` is time-major, (rows, input_dim), and
+    ``h0`` and ``c0`` are the (batch, hidden) starting state.  Without
+    ``counts`` every lane runs every step: row k*batch + j is lane j at
+    step k.  With ``counts``, the non-increasing live-lane count of each of
+    the ``steps`` steps, the sequences are packed as by PyTorch's
+    ``pack_padded_sequence``: lanes are sorted longest first, step k holds
+    lanes 0..counts[k]-1 only, and ``x`` holds the live rows alone, step
+    after step.  The input projection, the recurrence and its backward then
+    touch live rows only.
 
-    Returns ``(out, h, c)``: the (steps*batch, hidden) outputs as one
-    recorded tensor, and the final h and c as plain arrays, so no gradient
-    flows into the starting state.
+    Returns ``(out, h, c)``: the outputs, one row per row of ``x``, as one
+    recorded tensor, and each lane's last live h and c as plain arrays, so
+    no gradient flows into the starting state.
     """
     xv, wx, wh = x.data, params.wx.data, params.wh.data
     d = params.hidden_dim
     total = xv.shape[0]
-    if xv.ndim != 2 or xv.shape[1] != wx.shape[0] or total % steps:
+    counts = np.full(steps, total // steps) if counts is None else np.asarray(counts)
+    if xv.ndim != 2 or xv.shape[1] != wx.shape[0] or counts.shape != (steps,) \
+            or counts.sum() != total:
         raise DimensionError(
             f"lstm: input {xv.shape} is not {steps} steps of width {wx.shape[0]}")
-    batch = total // steps
+    if np.any(np.diff(counts) > 0):
+        raise ValueError("lstm: live-lane counts must be non-increasing")
+    batch = int(counts[0])
     if np.shape(h0) != (batch, d) or np.shape(c0) != (batch, d):
         raise DimensionError(
             f"lstm: state shapes h {np.shape(h0)}, c {np.shape(c0)} "
             f"do not match batch {batch}, hidden {d}")
-    # all steps' input projections in one GEMM; each step then adds h @ wh
-    # and activates in place, so ``gates`` ends up holding i, f, o, g
+    # step k's rows of x are offs[k]:offs[k+1].  hs and cs hold the starting
+    # state in their first ``batch`` rows, then one row per row of x, so lane
+    # j's state before step k is row prev[k] + j.
+    offs = np.concatenate(([0], np.cumsum(counts)))
+    prev = np.concatenate(([0], batch + offs[:-2]))
+    # all live rows' input projections in one GEMM; each step then adds
+    # h_prev @ wh and activates in place, so ``gates`` ends up holding i, f, o, g
     gates = xv @ wx
     gates += params.b.data
-    gates = gates.reshape(steps, batch, 4 * d)
-    hs = np.empty((steps + 1, batch, d), dtype=gates.dtype)
+    hs = np.empty((batch + total, d), dtype=gates.dtype)
     cs = np.empty_like(hs)
-    hs[0], cs[0] = h0, c0
+    hs[:batch], cs[:batch] = h0, c0
     for k in range(steps):
-        a = gates[k]
-        a += hs[k] @ wh
+        lo, hi, p = offs[k], offs[k + 1], prev[k]
+        a = gates[lo:hi]
+        a += hs[p:p + hi - lo] @ wh
         a[:, :3 * d] *= 0.5
         np.tanh(a, out=a)
         a[:, :3 * d] += 1.0  # sigmoid(z) = (1 + tanh(z/2)) / 2
         a[:, :3 * d] *= 0.5
         i, f, o, g = a[:, :d], a[:, d:2 * d], a[:, 2 * d:3 * d], a[:, 3 * d:]
-        c = f * cs[k] + i * g
-        h = o * np.tanh(c)
-        if active is not None:
-            c = np.where(active[k][:, None], c, cs[k])
-            h = np.where(active[k][:, None], h, hs[k])
-        hs[k + 1], cs[k + 1] = h, c
+        c = f * cs[p:p + hi - lo] + i * g
+        hs[batch + lo:batch + hi] = o * np.tanh(c)
+        cs[batch + lo:batch + hi] = c
 
     def bw(g_out):
-        g_out = g_out.reshape(steps, batch, d)
         dz = np.empty_like(gates)
+        # lanes beyond a step's count have no later steps, so their entries
+        # are still zero when the backward walk reaches their last step
         dh = np.zeros((batch, d), dtype=gates.dtype)
         dc = np.zeros_like(dh)
         for k in reversed(range(steps)):
-            dh = dh + g_out[k]
-            if active is not None:
-                live = active[k][:, None]
-                dh_frozen, dc_frozen = np.where(live, 0, dh), np.where(live, 0, dc)
-                dh, dc = np.where(live, dh, 0), np.where(live, dc, 0)
-            a = gates[k]
+            lo, hi, p = offs[k], offs[k + 1], prev[k]
+            n = hi - lo
+            dh_k = dh[:n] + g_out[lo:hi]
+            a = gates[lo:hi]
             i, f, o, g = a[:, :d], a[:, d:2 * d], a[:, 2 * d:3 * d], a[:, 3 * d:]
-            tc = np.tanh(cs[k + 1])
-            dc = dc + dh * o * (1.0 - tc * tc)
-            dz[k, :, :d] = dc * g * i * (1.0 - i)
-            dz[k, :, d:2 * d] = dc * cs[k] * f * (1.0 - f)
-            dz[k, :, 2 * d:3 * d] = dh * tc * o * (1.0 - o)
-            dz[k, :, 3 * d:] = dc * i * (1.0 - g * g)
-            dc = dc * f
-            dh = dz[k] @ wh.T
-            if active is not None:
-                dh += dh_frozen
-                dc += dc_frozen
-        dz = dz.reshape(total, 4 * d)
-        return (dz @ wx.T, xv.T @ dz, hs[:-1].reshape(total, d).T @ dz, dz.sum(axis=0))
+            tc = np.tanh(cs[batch + lo:batch + hi])
+            dc_k = dc[:n] + dh_k * o * (1.0 - tc * tc)
+            dz[lo:hi, :d] = dc_k * g * i * (1.0 - i)
+            dz[lo:hi, d:2 * d] = dc_k * cs[p:p + n] * f * (1.0 - f)
+            dz[lo:hi, 2 * d:3 * d] = dh_k * tc * o * (1.0 - o)
+            dz[lo:hi, 3 * d:] = dc_k * i * (1.0 - g * g)
+            dc[:n] = dc_k * f
+            dh[:n] = dz[lo:hi] @ wh.T
+        h_prev = hs[np.concatenate([np.arange(p, p + n) for p, n in zip(prev, counts)])]
+        return (dz @ wx.T, xv.T @ dz, h_prev.T @ dz, dz.sum(axis=0))
 
-    out = custom_op(hs[1:].reshape(total, d), "lstm",
-                    (x, params.wx, params.wh, params.b), bw)
-    return out, hs[-1].copy(), cs[-1].copy()
+    out = custom_op(hs[batch:], "lstm", (x, params.wx, params.wh, params.b), bw)
+    # lane j is live for the steps whose count exceeds j
+    lengths = (counts[:, None] > np.arange(batch)).sum(axis=0)
+    last = batch + offs[lengths - 1] + np.arange(batch)
+    return out, hs[last], cs[last]
 
 
 def conv1d_max_over_time(seq: Tensor, banks, lengths=None) -> Tensor:

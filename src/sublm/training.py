@@ -20,7 +20,7 @@ from .checkpoint import Checkpoint
 from .composition import (LINEAR_VARIANTS, CompositionConfig, build_composer,
                           uniform_init)
 from .config import TrainConfig
-from .corpus import EncodedCorpus, Vocabularies, batch_stream
+from .corpus import EncodedCorpus, Vocabularies, batch_stream, check_eval_stream
 from .errors import BudgetError, ConfigError, NonFiniteGradientError
 from .lm import (LanguageModel, LogUniformSampler, _ppl, perplexity,
                  sample_count_for)
@@ -155,6 +155,9 @@ def train(config: TrainConfig, vocabs: Vocabularies, corpus: EncodedCorpus,
 
     train_stream = corpus.streams["train"]
     valid_stream = corpus.streams.get("valid")
+    if valid_stream is not None:
+        # fail now rather than after the first epoch's training windows
+        check_eval_stream(valid_stream, config.bptt)
     sampler = None
     sample_count = 0
     if config.softmax == "sampled":

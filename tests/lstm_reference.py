@@ -20,19 +20,20 @@ def lstm_step(x, h, c, wx, wh, b):
     return o * np.tanh(c), c
 
 
-def lstm_steps(xs, h, c, wx, wh, b, active=None):
+def lstm_steps(xs, h, c, wx, wh, b, lengths=None):
     """Run ``lstm_step`` over (steps, batch, input_dim) inputs.
 
-    Where ``active[k, j]`` is False, lane j keeps its h and c through step
-    k.  Returns the (steps, batch, hidden) outputs and the final h and c.
+    With ``lengths``, lane j runs its first ``lengths[j]`` steps only and
+    then keeps its h and c; its inputs after that are ignored.  Returns the
+    (steps, batch, hidden) outputs and the final h and c.
     """
     outs = []
     for k, x in enumerate(xs):
         h_new, c_new = lstm_step(x, h, c, wx, wh, b)
-        if active is None:
+        if lengths is None:
             h, c = h_new, c_new
         else:
-            live = active[k][:, None]
+            live = (k < np.asarray(lengths))[:, None]
             h, c = np.where(live, h_new, h), np.where(live, c_new, c)
         outs.append(h)
     return np.stack(outs), h, c

@@ -252,6 +252,24 @@ class TestWindowSizes:
         assert error_lines(capsys)
         assert not ckpt.exists()
 
+    def test_train_empty_valid_fails_before_training(self, tmp_path, rng, capsys,
+                                                      monkeypatch):
+        train_f, valid_f = write_demo_corpus(tmp_path, rng)
+        valid_f.write_text("")
+        cfg = write_demo_config(tmp_path, train_f, valid_f, max_epochs=1)
+        windows = []
+        original = lm.LanguageModel.window_nll
+
+        def window_nll(self, *args, **kwargs):
+            windows.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(lm.LanguageModel, "window_nll", window_nll)
+        ckpt = tmp_path / "model.ckpt"
+        assert run(["train", "--config", str(cfg), "--out", str(ckpt)]) == 4
+        assert error_lines(capsys)
+        assert windows == [] and not ckpt.exists()
+
     def test_train_corpus_shorter_than_one_batch(self, tmp_path, rng, capsys):
         train_f, valid_f = write_demo_corpus(tmp_path, rng)
         train_f.write_text("paper model\n")  # 3 tokens, batch 4 x (bptt 5 + 1) needed

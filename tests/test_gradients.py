@@ -29,27 +29,43 @@ def test_affine_wrt_all_inputs(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_lstm_cell_wrt_all_params(seed):
-    # the whole-window op, with every lane live and with lanes frozen by a mask
+    # the whole-window op, with every lane live and with packed lanes of
+    # random lengths
     rng = np.random.default_rng(seed)
-    for masked in (False, True):
-        check_lstm_grads(rng, masked)
+    steps, b = 3, 3
+    for lengths in (None, np.sort(rng.integers(1, steps + 1, size=b))[::-1]):
+        check_lstm_grads(rng, steps, b, lengths)
 
 
-def check_lstm_grads(rng, masked):
-    p, d, b, steps = 3, 4, 2, 3
+@pytest.mark.parametrize("case", ["length-1", "equal-lengths", "full-counts"])
+def test_packed_lstm_edge_cases(case, rng):
+    # every lane one step long; all lanes the same length, given as counts;
+    # and explicit full counts, each with a nonzero starting state
+    lengths = {"length-1": [1, 1, 1], "equal-lengths": [2, 2, 2],
+               "full-counts": [3, 3, 3]}[case]
+    check_lstm_grads(rng, max(lengths), 3, np.array(lengths))
+
+
+def check_lstm_grads(rng, steps, b, lengths):
+    """Central differences of a weighted sum of the op's outputs; lanes are
+    packed longest first when ``lengths`` is given."""
+    p, d = 3, 4
+    live = (np.ones((steps, b), dtype=bool) if lengths is None
+            else np.arange(steps)[:, None] < lengths)
+    rows = int(live.sum())
     params = {
         "wx": t(rng, p, 4 * d, scale=0.5),
         "wh": t(rng, d, 4 * d, scale=0.5),
         "b": t(rng, 4 * d, scale=0.5),
-        "x": t(rng, steps * b, p),
+        "x": t(rng, rows, p),
     }
     cell = T.LSTMCellParams(params["wx"], params["wh"], params["b"])
     h0, c0 = rng.normal(scale=0.5, size=(b, d)), rng.normal(scale=0.5, size=(b, d))
-    active = rng.random((steps, b)) < 0.6 if masked else None
-    weights = rng.normal(size=(steps * b, d))
+    counts = None if lengths is None else live.sum(axis=1)
+    weights = rng.normal(size=(rows, d))
 
     def loss():
-        out, _, _ = T.lstm(params["x"], h0, c0, cell, steps, active)
+        out, _, _ = T.lstm(params["x"], h0, c0, cell, steps, counts)
         return T.tsum(T.mul_array(out, weights))
 
     check_grads(loss, params)
@@ -169,7 +185,7 @@ def test_structural_ops(seed):
 
     def loss():
         # the concatenated table is itself an op output: rows 1..3 of tanh(a)
-        table = T.tanh(T.slice_rows(a, 1, 4))
+        table = T.tanh(T.lookup(a, np.arange(1, 4)))
         return T.tmean(T.tanh(T.masked_concat(table, ids, lengths)))
 
     check_grads(loss, {"a": a})

@@ -125,6 +125,54 @@ class TestForward:
         assert abs(loss.item() - ref.item()) < 1e-15
 
 
+EMBED_DIMS = {
+    "word-direct": dict(d_w=4),
+    "syl-lstm": dict(d_s=4, d_w=5),
+    "syl-cnn": dict(d_s=4, cnn_max_width=2, cnn_depth_unit=2),
+    "syl-sum": dict(d_s=4),
+    "syl-avg": dict(d_s=4),
+    "syl-avg-a": dict(d_s=4),
+    "syl-avg-b": dict(d_s=4),
+    "syl-concat": dict(d_s=4, d_hw=5),
+}
+
+
+@pytest.mark.parametrize("variant", list(EMBED_DIMS))
+def test_embed_window_composes_each_distinct_word_once(variant, rng, monkeypatch):
+    init = uniform_init(rng, 0.3)
+    comp = build_composer(CompositionConfig(variant=variant, n=N, **EMBED_DIMS[variant]),
+                          W_VOCAB, S_VOCAB, init=init)
+    model = LanguageModel(comp, d_lm=5, vocab_size=W_VOCAB, init=init)
+    corpus = toy_corpus(rng)
+    ids = rng.integers(0, W_VOCAB, size=(3, 7))  # 21 tokens of 6 words
+    flat = ids.T.reshape(-1)
+    weights = rng.normal(size=(flat.size, comp.out_dim))
+    composed = []
+    call = type(comp).__call__
+
+    def counting_call(self, word_ids, rows, lengths):
+        composed.append(np.asarray(word_ids))
+        return call(self, word_ids, rows, lengths)
+
+    monkeypatch.setattr(type(comp), "__call__", counting_call)
+
+    def vectors_and_grads(embed):
+        for p in comp.params.values():
+            p.grad = None
+        out = embed()
+        T.backward(T.tsum(T.mul_array(out, weights)))
+        return out.data, {name: p.grad for name, p in comp.params.items()}
+
+    out, grads = vectors_and_grads(lambda: model.embed_window(ids, corpus))
+    assert len(composed) == 1
+    assert sorted(composed[0].tolist()) == sorted(set(flat.tolist()))
+    ref, ref_grads = vectors_and_grads(
+        lambda: comp(flat, corpus.subword_rows[flat], corpus.row_lengths[flat]))
+    assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+    for name, g in ref_grads.items():
+        assert np.abs(grads[name] - g).max() <= 1e-12 * np.abs(g).max(), name
+
+
 class TestPerplexity:
     def test_zero_model_gives_vocab_size(self, rng):
         model = toy_model()  # all parameters zero except forget biases
@@ -209,6 +257,46 @@ class TestSampledSoftmax:
                                        np.random.default_rng(11))
 
         check_grads(loss_fn, {"h": h, "w": w, "b": b})
+
+    def test_backward_bitwise_equals_scatter_add_form(self, rng):
+        # the scatter-free backward against the np.add.at form, with targets
+        # inside the shared pool, so their rows move a negative to position k
+        v, m, k = 12, 6, 7
+        h, w, b, _ = self._setup(rng, v=v, m=m)
+        sampler = UniformSampler(v)
+        pool, tries = sampler.sample(np.random.default_rng(3), k + 1)
+        targets = np.concatenate([pool[[0, 2, k]], rng.integers(0, v, size=m - 3)])
+        T.backward(sampled_softmax_nll(h, w, b, targets, k, sampler,
+                                       np.random.default_rng(3)))
+
+        hv, wv, bv = h.data, w.data, b.data
+        pos_of = np.full(v, -1)
+        pos_of[pool] = np.arange(k + 1)
+        select = np.broadcast_to(np.arange(k), (m, k)).copy()
+        hit = pos_of[targets]
+        swap_rows = np.nonzero((hit >= 0) & (hit < k))[0]
+        assert {0, 1} <= set(swap_rows.tolist()) and 2 not in swap_rows
+        select[swap_rows, hit[swap_rows]] = k
+        pool_logits = hv @ wv[:, pool] + bv[pool]
+        target_logits = np.einsum("md,dm->m", hv, wv[:, targets]) + bv[targets]
+        log_expected = np.log(-np.expm1(tries * np.log1p(-sampler.probs)))
+        logits = np.concatenate([target_logits[:, None],
+                                 np.take_along_axis(pool_logits, select, axis=1)], axis=1)
+        logits = logits - log_expected[np.concatenate([targets[:, None], pool[select]], axis=1)]
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        dlogits = e / e.sum(axis=1, keepdims=True)
+        dlogits[:, 0] -= 1.0
+        dlogits *= 1.0 / m
+        d_pool = np.zeros((m, k + 1))
+        np.add.at(d_pool, (np.arange(m)[:, None], select), dlogits[:, 1:])
+        dw, db = np.zeros_like(wv), np.zeros_like(bv)
+        np.add.at(dw.T, targets, dlogits[:, :1] * hv)
+        dw[:, pool] += hv.T @ d_pool
+        np.add.at(db, targets, dlogits[:, 0])
+        np.add.at(db, pool, d_pool.sum(axis=0))
+        dh = dlogits[:, :1] * wv[:, targets].T + d_pool @ wv[:, pool].T
+        assert np.array_equal(h.grad, dh)
+        assert np.array_equal(w.grad, dw) and np.array_equal(b.grad, db)
 
     def test_expected_gradient_near_full_softmax(self):
         # Monte-Carlo oracle: average sampled gradients over 200 resamplings

@@ -48,21 +48,28 @@ class TestLstmCell:
                 b[d:2 * d] = 20.0
         return T.LSTMCellParams(t(wx), t(wh), t(b))
 
-    def _run(self, rng, case, masked, steps=4, batch=3, p=3, d=4):
+    def _run(self, rng, case, packed, steps=4, batch=3, p=3, d=4):
         params = self._params(rng, p, d, case)
-        x = t(rng.normal(size=(steps * batch, p)))
         h0, c0 = rng.normal(size=(batch, d)), rng.normal(size=(batch, d))
-        active = rng.random((steps, batch)) < 0.6 if masked else None
-        out, h, c = T.lstm(x, h0, c0, params, steps, active)
-        ref = lstm_steps(x.data.reshape(steps, batch, p), h0, c0, params.wx.data,
-                         params.wh.data, params.b.data, active)
-        return (out, h, c), ref, (h0, c0)
+        xs = rng.normal(size=(steps, batch, p))
+        if packed:
+            # lanes longest first, the longest running every step
+            lengths = np.sort(rng.integers(1, steps + 1, size=batch))[::-1]
+            lengths[0] = steps
+            live = np.arange(steps)[:, None] < lengths
+            out, h, c = T.lstm(t(xs[live]), h0, c0, params, steps, live.sum(axis=1))
+        else:
+            lengths, live = None, np.ones((steps, batch), dtype=bool)
+            out, h, c = T.lstm(t(xs.reshape(steps * batch, p)), h0, c0, params, steps)
+        ref_out, ref_h, ref_c = lstm_steps(xs, h0, c0, params.wx.data, params.wh.data,
+                                           params.b.data, lengths)
+        return (out, h, c), (ref_out[live], ref_h, ref_c), (h0, c0)
 
-    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("packed", [False, True])
     @pytest.mark.parametrize("case", ["random", "zero", "saturated-forget"])
-    def test_matches_reference_cell(self, rng, case, masked):
-        (out, h, c), (ref_out, ref_h, ref_c), _ = self._run(rng, case, masked)
-        assert np.abs(out.data - ref_out.reshape(out.data.shape)).max() < 1e-12
+    def test_matches_reference_cell(self, rng, case, packed):
+        (out, h, c), (ref_out, ref_h, ref_c), _ = self._run(rng, case, packed)
+        assert np.abs(out.data - ref_out).max() < 1e-12
         assert np.abs(h - ref_h).max() < 1e-12 and np.abs(c - ref_c).max() < 1e-12
 
     def test_zero_params_zero_state(self, rng):
@@ -77,12 +84,20 @@ class TestLstmCell:
         assert np.abs(c - c0).max() < 1e-6
 
     def test_inactive_lane_keeps_its_state_exactly(self, rng):
+        # a finished lane's state is that of its last real step
         params = self._params(rng, 3, 4, "random")
         h0, c0 = rng.normal(size=(2, 4)), rng.normal(size=(2, 4))
-        active = np.array([[True, False], [True, False]])
-        out, h, c = T.lstm(t(rng.normal(size=(4, 3))), h0, c0, params, 2, active)
-        assert np.array_equal(h[1], h0[1]) and np.array_equal(c[1], c0[1])
-        assert np.array_equal(out.data[3], h0[1])
+        x = t(rng.normal(size=(3, 3)))  # lane 0 runs two steps, lane 1 one
+        out, h, c = T.lstm(x, h0, c0, params, 2, np.array([2, 1]))
+        _, h1, c1 = T.lstm(t(x.data[:2]), h0, c0, params, 1)
+        assert np.array_equal(h[1], h1[1]) and np.array_equal(c[1], c1[1])
+        assert np.array_equal(out.data[1], h1[1]) and np.array_equal(h[0], out.data[2])
+
+    def test_counts_must_not_increase(self, rng):
+        params = self._params(None, 3, 4, "zero")
+        with pytest.raises(ValueError):
+            T.lstm(t(np.zeros((3, 3))), np.zeros((1, 4)), np.zeros((1, 4)), params, 2,
+                   np.array([1, 2]))
 
     def test_dimension_mismatch(self):
         params = self._params(None, 3, 4, "zero")
@@ -90,6 +105,9 @@ class TestLstmCell:
             T.lstm(t(np.zeros((2, 3))), np.zeros((3, 4)), np.zeros((2, 4)), params, 1)
         with pytest.raises(DimensionError):
             T.lstm(t(np.zeros((5, 3))), np.zeros((2, 4)), np.zeros((2, 4)), params, 2)
+        with pytest.raises(DimensionError):  # the counts cover 3 rows, x has 4
+            T.lstm(t(np.zeros((4, 3))), np.zeros((2, 4)), np.zeros((2, 4)), params, 2,
+                   np.array([2, 1]))
 
 
 class TestConvMaxOverTime:
@@ -297,7 +315,7 @@ class TestOpsMisc:
         flat = T.masked_concat(a, np.array([[0, 1, 0], [2, 1, 0]]), np.array([3, 2]))
         assert flat.data[1].tolist() == a.data[2].tolist() + a.data[1].tolist() + [0.0, 0.0]
         col_weights = np.arange(1.0, 7.0)
-        T.backward(T.tsum(T.mul_array(T.slice_rows(flat, 1, 2), col_weights)))
+        T.backward(T.tsum(T.mul_array(T.lookup(flat, np.array([1])), col_weights)))
         assert a.grad.tolist() == [[0.0, 0.0], [3.0, 4.0], [1.0, 2.0]]
 
     def test_conv_width_exceeds_positions(self, rng):

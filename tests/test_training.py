@@ -7,7 +7,8 @@ import pytest
 from sublm import tensor as T
 from sublm.checkpoint import Checkpoint
 from sublm.config import TrainConfig, parse_config
-from sublm.corpus import batch_stream, build_vocabs, encode_corpus
+from sublm import lm as lm_module
+from sublm.corpus import batch_stream, build_vocabs, encode_corpus, eval_windows
 from sublm.errors import BudgetError, ConfigError, NonFiniteGradientError
 from sublm.lm import (LanguageModel, LogUniformSampler, evaluate_stream,
                       perplexity, sample_count_for)
@@ -295,11 +296,61 @@ class TestTrain:
         with pytest.raises(ConfigError, match="do not match"):
             model_from_checkpoint(ckpt, sizes)
 
+    @pytest.mark.parametrize("valid_tokens", [0, 1])
+    def test_unusable_valid_stream_fails_before_any_window(self, valid_tokens, monkeypatch):
+        vocabs, corpus = tiny_data()
+        corpus.streams["valid"] = corpus.streams["valid"][:valid_tokens]
+        windows = []
+        original = LanguageModel.window_nll
+
+        def window_nll(self, *args, **kwargs):
+            windows.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(LanguageModel, "window_nll", window_nll)
+        with pytest.raises(ConfigError, match="two tokens"):
+            train(tiny_config(max_epochs=1), vocabs, corpus)
+        assert windows == []
+
     def test_sampled_softmax_training_runs(self):
         vocabs, corpus = tiny_data()
         cfg = tiny_config(max_epochs=2, softmax="sampled", sample_fraction=0.5)
         ckpt = train(cfg, vocabs, corpus)
         assert math.isfinite(ckpt.best_val_ppl)
+
+
+def test_window_hooks_run_once_per_window(monkeypatch):
+    """``embed_window(word_ids, corpus)`` starts every training and scoring
+    window, called positionally, and scoring calls the module's
+    ``full_softmax_nll`` once per window: per-window timing and loss
+    observers wrap exactly these."""
+    vocabs, corpus = tiny_data()
+    embedded, scored = [], []
+    embed_window, full_softmax_nll = LanguageModel.embed_window, lm_module.full_softmax_nll
+
+    def observed_embed_window(model, word_ids, corpus_):
+        embedded.append(np.size(word_ids))
+        return embed_window(model, word_ids, corpus_)
+
+    def observed_full_softmax_nll(logits, targets):
+        scored.append(np.size(targets))
+        return full_softmax_nll(logits, targets)
+
+    monkeypatch.setattr(LanguageModel, "embed_window", observed_embed_window)
+    monkeypatch.setattr(lm_module, "full_softmax_nll", observed_full_softmax_nll)
+    cfg = tiny_config(max_epochs=1, softmax="sampled", sample_fraction=0.5)
+    ckpt = train(cfg, vocabs, corpus)
+    train_sizes = [x.size for x, _, _ in batch_stream(corpus.streams["train"], 4, 6)]
+    valid_sizes = [x.size for x, _, _ in eval_windows(corpus.streams["valid"], 6)]
+    assert embedded == train_sizes + valid_sizes
+    assert scored == valid_sizes
+
+    embedded.clear()
+    scored.clear()
+    model, _ = model_from_checkpoint(ckpt, ModelSizes.from_vocabs(vocabs))
+    evaluate_stream(model, corpus.streams["valid"], corpus, steps=7)
+    sizes = [x.size for x, _, _ in eval_windows(corpus.streams["valid"], 7)]
+    assert embedded == sizes and scored == sizes
 
 
 VARIANT_DIMS = {
