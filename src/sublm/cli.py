@@ -216,13 +216,20 @@ def _list_flag(kind, expected: str, valid=lambda values: True):
 def cmd_analyze(args) -> int:
     if not args.checkpoint:
         raise ConfigError("analyze needs at least one --checkpoint")
+    # each model's reports are named after its file name without extension
+    paths = {}
+    for path in args.checkpoint:
+        name = os.path.splitext(os.path.basename(path))[0]
+        if name in paths:
+            raise ConfigError(f"--checkpoint {paths[name]} and {path} "
+                              f"share the model name {name!r}")
+        paths[name] = path
     models = []
     shared_vocabs = None
     corpus = None
     steps = args.steps
-    for path in args.checkpoint:
+    for name, path in paths.items():
         model, config, vocabs = _load_model(path)
-        name = os.path.splitext(os.path.basename(path))[0]
         if shared_vocabs is None:
             shared_vocabs = vocabs
             corpus = encode_corpus({"eval": _read(args.corpus)}, vocabs)

@@ -8,37 +8,16 @@ whole stream, with state carried across windows.
 
 from __future__ import annotations
 
-import logging
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .composition import Composer
 from .corpus import EncodedCorpus, eval_windows
+from .errors import ConfigError
 from .tensor import Tensor
-
-log = logging.getLogger("sublm")
-
-
-@dataclass
-class LMState:
-    """Per-layer (h, c) arrays carried from one window into the next.
-
-    They are plain (batch, d_lm) arrays, not tensors, so no gradient flows
-    across a window boundary.
-    """
-
-    layers: list[tuple[np.ndarray, np.ndarray]]
-
-    @staticmethod
-    def zeros(batch: int, d_lm: int, num_layers: int = 2,
-              dtype=np.float64) -> "LMState":
-        return LMState([(np.zeros((batch, d_lm), dtype=dtype),
-                         np.zeros((batch, d_lm), dtype=dtype))
-                        for _ in range(num_layers)])
 
 
 class LanguageModel:
@@ -72,8 +51,15 @@ class LanguageModel:
         self.params["lm.w_out"] = self.w_out
         self.params["lm.b_out"] = self.b_out
 
-    def zero_state(self, batch: int) -> LMState:
-        return LMState.zeros(batch, self.d_lm, self.NUM_LAYERS, self.dtype)
+    def zero_state(self, batch: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Zero (h, c) arrays of shape (batch, d_lm), one pair per layer.
+
+        The state is carried from one window into the next as plain arrays,
+        not tensors, so no gradient flows across a window boundary.
+        """
+        return [(np.zeros((batch, self.d_lm), dtype=self.dtype),
+                 np.zeros((batch, self.d_lm), dtype=self.dtype))
+                for _ in range(self.NUM_LAYERS)]
 
     def embed_window(self, word_ids: np.ndarray, corpus: EncodedCorpus) -> Tensor:
         """Compose word vectors for a (batch, steps) window of word ids.
@@ -91,8 +77,8 @@ class LanguageModel:
                                 corpus.row_lengths[distinct])
         return T.lookup(vectors, inverse)
 
-    def lm_forward(self, x: Tensor, steps: int, state: LMState,
-                   mode: str = "eval", rng=None) -> tuple[Tensor, LMState]:
+    def lm_forward(self, x: Tensor, steps: int, state: list,
+                   mode: str = "eval", rng=None) -> tuple[Tensor, list]:
         """Run the stacked LSTM over a time-major flat window.
 
         Output is (steps*batch, d_lm) with dropout already applied to the
@@ -101,12 +87,12 @@ class LanguageModel:
         """
         new_state = []
         layer_in = x
-        for cell, (h, c) in zip(self.cells, state.layers):
+        for cell, (h, c) in zip(self.cells, state):
             layer_in, h, c = T.lstm(layer_in, h, c, cell, steps)
             new_state.append((h, c))
             if mode == "train" and self.dropout_rate > 0:
                 layer_in = T.dropout(layer_in, self.dropout_rate, mode="train", rng=rng)
-        return layer_in, LMState(new_state)
+        return layer_in, new_state
 
     def logits(self, h: Tensor) -> Tensor:
         return T.affine(h, self.w_out, self.b_out)
@@ -116,14 +102,15 @@ class LanguageModel:
         """Mean per-token NLL of one window; sampled estimator when asked.
 
         Returns (loss, new_state).  ``targets`` is (batch, steps); sampling
-        applies only in train mode with a sampler and positive sample count.
+        applies only in train mode with a sampler, whose ``sample_count``
+        must lie in (0, V).
         """
         word_ids = np.asarray(word_ids)
         batch, steps = word_ids.shape
         x = self.embed_window(word_ids, corpus)
         h, new_state = self.lm_forward(x, steps, state, mode=mode, rng=rng)
         flat_targets = np.asarray(targets).T.reshape(-1)
-        if mode == "train" and sampler is not None and sample_count > 0:
+        if mode == "train" and sampler is not None:
             loss = sampled_softmax_nll(h, self.w_out, self.b_out, flat_targets,
                                        sample_count, sampler, rng)
         else:
@@ -181,16 +168,6 @@ class LogUniformSampler:
         return _sample_unique(rng, self.probs, count)
 
 
-class UniformSampler:
-    """Uniform proposal; corrections cancel, useful for exactness checks."""
-
-    def __init__(self, vocab_size: int):
-        self.probs = np.full(vocab_size, 1.0 / vocab_size)
-
-    def sample(self, rng, count):
-        return _sample_unique(rng, self.probs, count)
-
-
 def sample_count_for(vocab_size: int, fraction: float) -> int:
     """Appendix-recipe sample count: a fixed fraction of the vocabulary."""
     return max(1, int(round(vocab_size * fraction)))
@@ -203,18 +180,17 @@ def sampled_softmax_nll(h: Tensor, w_out: Tensor, b_out: Tensor,
 
     Per position the candidates are the target plus ``sample_count`` distinct
     sampled negatives; logits get a log-expected-count correction
-    ``log(1 - (1-q)^k)`` under the proposal q.  Falls back to the full
-    softmax (with a warning) when the sample count reaches the vocabulary.
+    ``log(1 - (1-q)^k)`` under the proposal q.  The shared pool holds
+    ``sample_count + 1`` distinct ids, so the count must lie in (0, V).
     """
     hv = h.data
     m, d = hv.shape
     v = w_out.data.shape[1]
     targets = np.asarray(targets).reshape(-1)
-    if sample_count >= v:
-        log.warning("sample_count %d >= vocabulary %d: using full softmax",
-                    sample_count, v)
-        loss, _ = T.softmax_xent(T.affine(h, w_out, b_out), targets)
-        return loss
+    if not 0 < sample_count < v:
+        raise ConfigError(f"sampled softmax needs 0 < sample count < vocabulary size "
+                          f"{v}, got {sample_count}; lower sample_fraction or use "
+                          f"softmax = full")
     k = sample_count
     # one shared pool of k+1 distinct ids; per row the target is excluded
     # from its k negatives, so k = V-1 degenerates to the full softmax

@@ -19,8 +19,8 @@ Syl-Avg-A/B, scores, masked softmax and weighted sum together
 
 Default precision is 64-bit; 32-bit is opt-in per tensor.  Reductions run in
 a fixed order, so results are bitwise reproducible for a fixed BLAS thread
-count.  A :class:`Graph` is confined to one execution context; concurrent
-graphs over disjoint tensors are fine.
+count.  Stochastic ops take their rng as an argument, so a forward pass
+repeats bitwise under an equal-seeded rng.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ _ids = itertools.count()
 
 class _Local(threading.local):
     def __init__(self):
-        self.graphs: list[Graph] = []
         self.grad_enabled = True
 
 
@@ -89,27 +88,21 @@ class Tensor:
 
 
 class Graph:
-    """Execution context for one forward/backward pass.
+    """An rng holder; entering and leaving it does nothing.
 
-    Holds the rng used by stochastic ops such as dropout.  Re-running a
-    forward pass under a graph with identical rng state reproduces outputs
-    bitwise.
+    No op reads it: stochastic ops take their rng as an argument.  It stays
+    only because ``perfbench/checks.py`` still enters ``Graph(rng=...)``
+    around its train-mode gradient check, and goes when that line does.
     """
 
-    def __init__(self, seed=None, rng=None):
-        self.rng = rng if rng is not None else np.random.default_rng(seed)
+    def __init__(self, rng=None):
+        self.rng = rng
 
     def __enter__(self):
-        _local.graphs.append(self)
         return self
 
     def __exit__(self, *exc):
-        _local.graphs.pop()
         return False
-
-
-def active_graph() -> Graph | None:
-    return _local.graphs[-1] if _local.graphs else None
 
 
 class no_grad:
@@ -202,27 +195,8 @@ def backward(loss: Tensor) -> None:
 # elementwise and linear-algebra primitives
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise DimensionError(f"add: shapes {a.data.shape} and {b.data.shape} differ")
-    return custom_op(a.data + b.data, "add", (a, b), lambda g: (g, g))
-
-
 def mul_scalar(a: Tensor, s) -> Tensor:
     return custom_op(a.data * s, "mul_scalar", (a,), lambda g: (g * s,))
-
-
-def mul_array(a: Tensor, arr: np.ndarray) -> Tensor:
-    """Elementwise product with a constant array (masks, scales)."""
-    out = a.data * arr
-    if out.shape != a.data.shape:
-        raise DimensionError(f"mul_array: mask {arr.shape} does not broadcast onto {a.data.shape}")
-    return custom_op(out, "mul_array", (a,), lambda g: (g * arr,))
-
-
-def tanh(a: Tensor) -> Tensor:
-    y = np.tanh(a.data)
-    return custom_op(y, "tanh", (a,), lambda g: (g * (1.0 - y * y),))
 
 
 def affine(x: Tensor, w: Tensor, b_vec: Tensor) -> Tensor:
@@ -236,20 +210,6 @@ def affine(x: Tensor, w: Tensor, b_vec: Tensor) -> Tensor:
     y += bv
     return custom_op(y, "affine", (x, w, b_vec),
                      lambda g: (g @ wv.T, xv.T @ g, g.sum(axis=0)))
-
-
-def tsum(a: Tensor) -> Tensor:
-    """Sum of all elements, as a scalar tensor."""
-    def bw(g):
-        return (lambda buf: np.add(buf, g, out=buf),)
-    return custom_op(a.data.sum(), "sum", (a,), bw)
-
-
-def tmean(a: Tensor) -> Tensor:
-    size = a.data.size
-    def bw(g):
-        return (lambda buf: np.add(buf, g / size, out=buf),)
-    return custom_op(a.data.mean(), "mean", (a,), bw)
 
 
 def _check_ids(name: str, table: Tensor, ids: np.ndarray) -> None:
@@ -339,7 +299,11 @@ def attention_pool(seq: Tensor, lengths: np.ndarray, bias: Tensor,
 
 
 def dropout(x: Tensor, rate: float, mode: str = "train", rng=None) -> Tensor:
-    """Inverted dropout: train-time mask scaled by 1/keep, eval is identity."""
+    """Inverted dropout: train-time mask scaled by 1/keep, eval is identity.
+
+    Train mode draws the mask from ``rng``, which it requires; equal-seeded
+    rngs give bitwise-equal masks.
+    """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     if mode not in ("train", "eval"):
@@ -347,10 +311,7 @@ def dropout(x: Tensor, rate: float, mode: str = "train", rng=None) -> Tensor:
     if mode == "eval" or rate == 0.0:
         return x
     if rng is None:
-        g = active_graph()
-        if g is None:
-            raise ValueError("dropout in train mode needs an rng or an active Graph")
-        rng = g.rng
+        raise ValueError("dropout in train mode needs an rng")
     keep = 1.0 - rate
     scale = ((rng.random(x.data.shape) >= rate) / keep).astype(x.data.dtype, copy=False)
     return custom_op(x.data * scale, "dropout", (x,), lambda g_: (g_ * scale,))

@@ -281,7 +281,7 @@ class TestWindowSizes:
 
 
 class TestAnalyzeFlags:
-    """List flags are checked before any checkpoint loads or output is written."""
+    """Flags are checked before any checkpoint loads or output is written."""
 
     @pytest.mark.parametrize("flag,value", [
         ("--pca-thresholds", "0.8,abc"), ("--pca-thresholds", "1.5"),
@@ -302,6 +302,24 @@ class TestAnalyzeFlags:
         assert run(["analyze", "--checkpoint", str(tmp_path / "none.ckpt"),
                     "--corpus", str(tmp_path / "none.txt"), "--out", str(tmp_path),
                     "--pca-thresholds", "1.5"]) == 2
+
+    @pytest.mark.parametrize("second", ["other/model.ckpt", "model.ckpt"],
+                             ids=["same-file-name", "same-path"])
+    def test_checkpoints_sharing_a_model_name_exit_4(self, one_epoch, tmp_path, capsys,
+                                                      monkeypatch, second):
+        # reports are named after each checkpoint's file name without extension
+        ckpt, valid_f = one_epoch
+        (tmp_path / "other").mkdir()
+        shutil.copy(ckpt, tmp_path / "other" / "model.ckpt")
+        loads = []
+        monkeypatch.setattr(cli, "_load_model", lambda path: loads.append(path))
+        out_dir = tmp_path / "reports"
+        assert run(["analyze", "--checkpoint", str(ckpt), "--checkpoint",
+                    str(tmp_path / second), "--corpus", str(valid_f),
+                    "--out", str(out_dir)]) == 4
+        errors = error_lines(capsys)
+        assert errors and "'model'" in errors[0]
+        assert loads == [] and not out_dir.exists()
 
     def test_bins_missing_a_token_frequency_exit_4(self, one_epoch, tmp_path, capsys):
         # every demo word occurs far more than 10 times in training
@@ -355,6 +373,19 @@ class TestOutOfRangeKeys:
         assert run(["params", "--config", str(cfg)]) == 4
         errors = error_lines(capsys)
         assert errors and key in errors[0]
+
+
+    def test_train_sampling_the_whole_vocabulary_exits_4(self, tmp_path, rng, capsys):
+        # the demo vocabulary has 12 words, and a sampled softmax needs fewer
+        # negatives than that
+        train_f, valid_f = write_demo_corpus(tmp_path, rng)
+        cfg = write_demo_config(tmp_path, train_f, valid_f, softmax="sampled",
+                                sample_fraction=1.0)
+        ckpt = tmp_path / "model.ckpt"
+        assert run(["train", "--config", str(cfg), "--out", str(ckpt)]) == 4
+        errors = error_lines(capsys)
+        assert errors and "sample_fraction" in errors[0]
+        assert not ckpt.exists()
 
 
 class TestDivergence:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fdiff import check_grads, fd_margin, safe_instance
+from fdiff import check_grads, fd_margin, safe_instance, scalar_loss
 from lstm_reference import lstm_step, lstm_steps
 from sublm import tensor as T
 from sublm.composition import (CompositionConfig, HighwayStack, build_composer,
@@ -101,7 +101,7 @@ class TestHighway:
         def build(rng):
             hw = HighwayStack(8, 2, uniform_init(rng, 0.3), np.float64)
             x = T.Tensor(rng.normal(size=(4, 8)))
-            return (lambda: T.tsum(hw(x))), dict(hw.params, x=x)
+            return (lambda: scalar_loss(hw(x))), dict(hw.params, x=x)
 
         loss_fn, params = safe_instance(build, 0)
         check_grads(loss_fn, params)
@@ -203,7 +203,7 @@ class TestSylCNN:
         # no highway, so no relu: only the conv op can make the margin finite
         comp = make("syl-cnn", rng, highway_layers=0)
         _, rows, lengths = random_batch(rng)
-        margin = fd_margin(T.tsum(comp(None, rows, lengths)))
+        margin = fd_margin(scalar_loss(comp(None, rows, lengths)))
         assert np.isfinite(margin) and margin > 0.0
 
     def test_short_words_use_pad_vectors_as_needed(self, rng):
@@ -300,7 +300,7 @@ class TestSylConcat:
         # the highway op holds the only relu of a syl-concat loss
         comp = make("syl-concat", rng)
         _, rows, lengths = random_batch(rng)
-        margin = fd_margin(T.tsum(comp(None, rows, lengths)))
+        margin = fd_margin(scalar_loss(comp(None, rows, lengths)))
         assert np.isfinite(margin) and margin > 0.0
 
 
@@ -310,7 +310,7 @@ class TestWordDirect:
         ids = np.array([2, 2, 5])
         out = comp(ids, None, None)
         assert np.array_equal(out.data, comp.e_w.data[ids])
-        T.backward(T.tsum(out))
+        T.backward(scalar_loss(out))
         grad = comp.e_w.grad
         assert np.all(grad[2] == 2.0) and np.all(grad[5] == 1.0)
         others = [i for i in range(W_VOCAB) if i not in (2, 5)]
@@ -324,7 +324,7 @@ VARIANTS_FOR_GRAD = ["word-direct", "syl-lstm", "syl-cnn", "syl-sum",
 def variant_instance(variant, rng):
     comp = make(variant, rng)
     word_ids, rows, lengths = random_batch(rng)
-    return (lambda: T.tsum(comp(word_ids, rows, lengths))), comp.params
+    return (lambda: scalar_loss(comp(word_ids, rows, lengths))), comp.params
 
 
 @pytest.mark.parametrize("variant", VARIANTS_FOR_GRAD)

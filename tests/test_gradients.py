@@ -1,15 +1,21 @@
 """Finite-difference checks for every differentiable operation.
 
-Each case builds a small random instance, sums the op output into a scalar,
-and compares analytic gradients against the central-difference oracle in
-fdiff (64-bit, step 1e-5, rel err < 1e-4; tighter where stated).
+Each case builds a small random instance, reduces the op output to a scalar
+with ``fdiff.scalar_loss`` (a plain or a fixed-weight sum), and compares
+analytic gradients against the central-difference oracle in fdiff (64-bit,
+step 1e-5, rel err < 1e-4; tighter where stated).
 """
+
+import importlib
 
 import numpy as np
 import pytest
 
-from fdiff import check_grads, numeric_grad, rel_err, safe_instance
+from fdiff import check_grads, numeric_grad, rel_err, safe_instance, scalar_loss
 from sublm import tensor as T
+from sublm.composition import CompositionConfig, build_composer, uniform_init
+from sublm.lm import LanguageModel, LogUniformSampler
+from test_lm import EMBED_DIMS, N, S_VOCAB, W_VOCAB, toy_corpus
 
 SEEDS = range(20)
 
@@ -24,7 +30,7 @@ def test_affine_wrt_all_inputs(seed):
     x, w, b = t(rng, 3, 4), t(rng, 4, 5), t(rng, 5)
     params = {"x": x, "w": w, "b": b}
     # spec pins 1e-6 for the weight gradient of sum(affine(...))
-    check_grads(lambda: T.tsum(T.affine(x, w, b)), params, tol=1e-6)
+    check_grads(lambda: scalar_loss(T.affine(x, w, b)), params, tol=1e-6)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -66,7 +72,7 @@ def check_lstm_grads(rng, steps, b, lengths):
 
     def loss():
         out, _, _ = T.lstm(params["x"], h0, c0, cell, steps, counts)
-        return T.tsum(T.mul_array(out, weights))
+        return scalar_loss(out, weights)
 
     check_grads(loss, params)
 
@@ -84,7 +90,7 @@ def test_highway(seed):
             params.update(zip((f"w_t{i}", f"b_t{i}", f"w_h{i}", f"b_h{i}"), layer))
             layers.append(layer)
         weights = rng.normal(size=(m, d))
-        return (lambda: T.tsum(T.mul_array(T.highway(params["x"], layers), weights))), params
+        return (lambda: scalar_loss(T.highway(params["x"], layers), weights)), params
 
     loss_fn, params = safe_instance(build, seed)
     check_grads(loss_fn, params)
@@ -99,7 +105,7 @@ def test_conv1d_max_over_time(seed):
         lengths = rng.integers(1, n + 1, size=m)
         params = {"seq": seq, "f1": banks[0][1], "b1": banks[0][2],
                   "f2": banks[1][1], "b2": banks[1][2]}
-        return (lambda: T.tsum(T.conv1d_max_over_time(seq, banks, lengths))), params
+        return (lambda: scalar_loss(T.conv1d_max_over_time(seq, banks, lengths))), params
 
     loss_fn, params = safe_instance(build, seed)
     check_grads(loss_fn, params)
@@ -116,7 +122,7 @@ def test_conv1d_banks_wider_than_short_words(seed):
         params = {"seq": seq}
         for w, f, b in banks:
             params.update({f"f{w}": f, f"b{w}": b})
-        return (lambda: T.tsum(T.conv1d_max_over_time(seq, banks, lengths))), params
+        return (lambda: scalar_loss(T.conv1d_max_over_time(seq, banks, lengths))), params
 
     loss_fn, params = safe_instance(build, seed)
     check_grads(loss_fn, params)
@@ -137,23 +143,19 @@ def test_dropout_with_fixed_mask(seed):
 
     def loss():
         # fresh rng with the same seed per evaluation fixes the mask
-        return T.tsum(T.dropout(x, 0.4, mode="train", rng=np.random.default_rng(99)))
+        return scalar_loss(T.dropout(x, 0.4, mode="train", rng=np.random.default_rng(99)))
 
     check_grads(loss, {"x": x})
 
 
 @pytest.mark.parametrize("seed", SEEDS[:10])
 def test_elementwise_chain(seed):
+    # mul_scalar, the one elementwise op: train() scales each window's loss
     rng = np.random.default_rng(seed)
-    a, b = t(rng, 3, 3), t(rng, 3, 3)
-    mask = rng.normal(size=(3, 3))
-
-    def loss():
-        y = T.add(T.tanh(a), T.mul_array(b, mask))
-        z = T.add(y, T.tanh(T.mul_scalar(T.add(a, b), 0.5)))
-        return T.tmean(T.mul_scalar(z, 1.7))
-
-    check_grads(loss, {"a": a, "b": b})
+    a = t(rng, 3, 3)
+    weights = rng.normal(size=(3, 3))
+    check_grads(lambda: scalar_loss(T.mul_scalar(T.mul_scalar(a, 0.5), -1.7), weights),
+                {"a": a})
 
 
 @pytest.mark.parametrize("seed", SEEDS[:10])
@@ -167,12 +169,16 @@ def test_lookup_and_masked_ops(seed):
     weights = rng.normal(size=(3, 20))
 
     # attention pooling with per-position scores alone and with a score table too
-    check_grads(lambda: T.tsum(T.attention_pool(T.lookup(table, ids), lengths, bias)),
+    check_grads(lambda: scalar_loss(T.attention_pool(T.lookup(table, ids), lengths, bias)),
                 {"table": table, "bias": bias})
-    check_grads(lambda: T.tsum(T.attention_pool(T.lookup(table, ids), lengths, bias,
-                                                 amat, ids)),
+    check_grads(lambda: scalar_loss(T.attention_pool(T.lookup(table, ids), lengths, bias,
+                                                     amat, ids)),
                 {"table": table, "amat": amat, "bias": bias})
-    check_grads(lambda: T.tsum(T.mul_array(T.masked_concat(table, ids, lengths), weights)),
+    check_grads(lambda: scalar_loss(T.masked_concat(table, ids, lengths), weights),
+                {"table": table})
+    # fixed per-position weights, zero past each row's length as a mask gives them
+    alpha = rng.normal(size=(3, 5)) * (np.arange(5) < lengths[:, None])
+    check_grads(lambda: scalar_loss(T.weighted_sum_time(T.lookup(table, ids), alpha)),
                 {"table": table})
 
 
@@ -182,11 +188,12 @@ def test_structural_ops(seed):
     a = t(rng, 4, 3)
     ids = rng.integers(0, 3, size=(2, 4))
     lengths = rng.integers(1, 5, size=2)
+    weights = rng.normal(size=(2, 12))
 
     def loss():
-        # the concatenated table is itself an op output: rows 1..3 of tanh(a)
-        table = T.tanh(T.lookup(a, np.arange(1, 4)))
-        return T.tmean(T.tanh(T.masked_concat(table, ids, lengths)))
+        # the concatenated table is itself an op output: rows 1..3 of 1.5 a
+        table = T.mul_scalar(T.lookup(a, np.arange(1, 4)), 1.5)
+        return scalar_loss(T.masked_concat(table, ids, lengths), weights)
 
     check_grads(loss, {"a": a})
 
@@ -201,6 +208,53 @@ def test_numeric_grad_on_quadratic():
     x = T.Tensor(np.array([[2.0, -1.0], [0.5, 3.0]]))
     zero = T.Tensor(np.zeros(2))
     # d sum(x @ x) / d x[a, b] = (row sum of x)[b] + (column sum of x)[a]
-    num = numeric_grad(lambda: T.tsum(T.affine(x, x, zero)), x)
+    num = numeric_grad(lambda: scalar_loss(T.affine(x, x, zero)), x)
     want = x.data.sum(axis=1)[None, :] + x.data.sum(axis=0)[:, None]
     assert np.abs(num - want).max() < 1e-8
+
+
+# every op the program records, and the fd test that covers it
+FD_TESTS = {
+    "affine": "test_gradients::test_affine_wrt_all_inputs",
+    "attention_pool": "test_gradients::test_lookup_and_masked_ops",
+    "conv1d_max_over_time": "test_gradients::test_conv1d_max_over_time",
+    "dropout": "test_gradients::test_dropout_with_fixed_mask",
+    "highway": "test_gradients::test_highway",
+    "lookup": "test_gradients::test_lookup_and_masked_ops",
+    "lstm": "test_gradients::test_lstm_cell_wrt_all_params",
+    "masked_concat": "test_gradients::test_lookup_and_masked_ops",
+    "mul_scalar": "test_gradients::test_elementwise_chain",
+    "sampled_softmax": "test_lm::TestSampledSoftmax::test_gradient_matches_fd_with_fixed_pool",
+    "softmax_xent": "test_gradients::test_softmax_xent",
+    "weighted_sum_time": "test_gradients::test_lookup_and_masked_ops",
+}
+
+
+def test_fd_tests_cover_every_recorded_op(rng):
+    corpus = toy_corpus(rng)
+    ids = rng.integers(0, W_VOCAB, size=(2, 3))
+    sampled = dict(sampler=LogUniformSampler(np.arange(W_VOCAB, 0, -1)), sample_count=3)
+    recorded = {"mul_scalar"}  # train() scales each window's loss by its length
+    for variant, dims in EMBED_DIMS.items():
+        init = uniform_init(rng, 0.3)
+        comp = build_composer(CompositionConfig(variant=variant, n=N, **dims),
+                              W_VOCAB, S_VOCAB, init=init)
+        model = LanguageModel(comp, d_lm=5, vocab_size=W_VOCAB, dropout_rate=0.5,
+                              init=init)
+        for mode, extra in (("eval", {}), ("train", {}), ("train", sampled)):
+            loss, _ = model.window_nll(ids, ids, corpus, model.zero_state(2), mode=mode,
+                                       rng=np.random.default_rng(0), **extra)
+            stack, seen = [loss], set()
+            while stack:
+                node = stack.pop()
+                if node._backward is not None and node.node_id not in seen:
+                    seen.add(node.node_id)
+                    recorded.add(node.op)
+                    stack.extend(node._parents)
+    assert recorded == set(FD_TESTS)
+    for op, path in FD_TESTS.items():
+        module, *names = path.split("::")
+        target = importlib.import_module(module)
+        for name in names:
+            target = getattr(target, name)
+        assert callable(target), op

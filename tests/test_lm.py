@@ -3,16 +3,27 @@ import math
 import numpy as np
 import pytest
 
-from fdiff import check_grads, safe_instance
+from fdiff import check_grads, safe_instance, scalar_loss
 from lstm_reference import lstm_step, lstm_steps
 from sublm import tensor as T
 from sublm.composition import CompositionConfig, build_composer, uniform_init
 from sublm.corpus import EncodedCorpus
-from sublm.lm import (LanguageModel, LogUniformSampler, UniformSampler,
+from sublm.errors import ConfigError
+from sublm.lm import (LanguageModel, LogUniformSampler, _sample_unique,
                       evaluate_stream, full_softmax_nll, perplexity,
                       sample_count_for, sampled_softmax_nll, timed_perplexity)
 
 W_VOCAB, S_VOCAB, N = 6, 8, 3
+
+
+class UniformSampler:
+    """Uniform proposal over ``v`` ids; its expected-count corrections cancel."""
+
+    def __init__(self, v):
+        self.probs = np.full(v, 1.0 / v)
+
+    def sample(self, rng, count):
+        return _sample_unique(rng, self.probs, count)
 
 
 def toy_corpus(rng):
@@ -42,7 +53,7 @@ class TestForward:
         state = model.zero_state(2)
         h, _ = model.lm_forward(x, 1, state, mode="eval")
         seq = x.data
-        for cell, (h0, c0) in zip(model.cells, state.layers):
+        for cell, (h0, c0) in zip(model.cells, state):
             seq, _ = lstm_step(seq, h0, c0, *(p.data for p in cell.tensors().values()))
         assert np.abs(h.data - seq).max() < 1e-12
 
@@ -52,14 +63,14 @@ class TestForward:
         ids = rng.integers(0, W_VOCAB, size=(2, 5))
         x = model.embed_window(ids, corpus)
         state = model.zero_state(2)
-        state.layers[0] = (rng.normal(size=(2, 5)), rng.normal(size=(2, 5)))
+        state[0] = (rng.normal(size=(2, 5)), rng.normal(size=(2, 5)))
         h, new_state = model.lm_forward(x, 5, state, mode="eval")
         seq = x.data.reshape(5, 2, -1)
-        for li, (cell, (h0, c0)) in enumerate(zip(model.cells, state.layers)):
+        for li, (cell, (h0, c0)) in enumerate(zip(model.cells, state)):
             seq, h_ref, c_ref = lstm_steps(seq, h0, c0,
                                            *(p.data for p in cell.tensors().values()))
-            assert np.abs(new_state.layers[li][0] - h_ref).max() < 1e-12
-            assert np.abs(new_state.layers[li][1] - c_ref).max() < 1e-12
+            assert np.abs(new_state[li][0] - h_ref).max() < 1e-12
+            assert np.abs(new_state[li][1] - c_ref).max() < 1e-12
         assert np.abs(h.data - seq.reshape(10, -1)).max() < 1e-12
 
     def test_recorded_nodes_do_not_grow_with_window_length(self, rng):
@@ -73,9 +84,8 @@ class TestForward:
 
         def node_count(steps):
             ids = rng.integers(0, W_VOCAB, size=(2, steps))
-            with T.Graph(seed=0) as g:
-                loss, _ = model.window_nll(ids, ids, corpus, model.zero_state(2),
-                                           mode="train", rng=g.rng)
+            loss, _ = model.window_nll(ids, ids, corpus, model.zero_state(2),
+                                       mode="train", rng=np.random.default_rng(0))
             seen, stack = set(), [loss]
             while stack:
                 node = stack.pop()
@@ -160,7 +170,7 @@ def test_embed_window_composes_each_distinct_word_once(variant, rng, monkeypatch
         for p in comp.params.values():
             p.grad = None
         out = embed()
-        T.backward(T.tsum(T.mul_array(out, weights)))
+        T.backward(scalar_loss(out, weights))
         return out.data, {name: p.grad for name, p in comp.params.items()}
 
     out, grads = vectors_and_grads(lambda: model.embed_window(ids, corpus))
@@ -235,15 +245,13 @@ class TestSampledSoftmax:
                                       np.random.default_rng(0))
         assert abs(sampled.item() - full.item()) < 1e-6
 
-    def test_oversized_sample_count_falls_back(self, rng, caplog):
+    @pytest.mark.parametrize("count", [0, 12, 13])
+    def test_sample_count_outside_the_vocabulary_is_a_config_error(self, rng, count):
+        # 12 is the whole vocabulary: a pool of count + 1 distinct ids cannot exist
         h, w, b, targets = self._setup(rng)
-        v = w.data.shape[1]
-        full, _ = full_softmax_nll(T.affine(h, w, b), targets)
-        with caplog.at_level("WARNING", logger="sublm"):
-            sampled = sampled_softmax_nll(h, w, b, targets, v, UniformSampler(v),
-                                          np.random.default_rng(0))
-        assert "full softmax" in caplog.text
-        assert sampled.item() == pytest.approx(full.item())
+        with pytest.raises(ConfigError, match="sample count"):
+            sampled_softmax_nll(h, w, b, targets, count, UniformSampler(12),
+                                np.random.default_rng(0))
 
     def test_paper_sample_fraction(self):
         assert sample_count_for(50_000, 0.2) == 10_000

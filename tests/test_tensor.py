@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cnn_reference import conv_max_over_time, conv_max_over_time_grads
+from fdiff import scalar_loss
 from highway_reference import highway
 from lstm_reference import lstm_steps
 from sublm import tensor as T
@@ -14,7 +15,7 @@ def t(x):
 
 def scalar_product(a, b):
     """a * b for 1x1 tensors, as a 1x1 affine map."""
-    return T.tsum(T.affine(a, b, t([0.0])))
+    return scalar_loss(T.affine(a, b, t([0.0])))
 
 
 class TestAffine:
@@ -138,7 +139,7 @@ class TestConvMaxOverTime:
         seq, banks, lengths, arrays = self._instance(rng, np.float64, with_lengths)
         out = T.conv1d_max_over_time(seq, banks, lengths)
         g = rng.normal(size=out.data.shape)
-        T.backward(T.tsum(T.mul_array(out, g)))
+        T.backward(scalar_loss(out, g))
         dseq, dbanks = conv_max_over_time_grads(seq.data, arrays, lengths, g)
         assert np.abs(seq.grad - dseq).max() < 1e-12
         for (_, w, b), (dw, db) in zip(banks, dbanks):
@@ -214,20 +215,22 @@ class TestDropout:
         with pytest.raises(ConfigError):
             T.dropout(t(np.ones(3)), -0.1, mode="train", rng=np.random.default_rng(0))
 
-    def test_graph_replay_is_bitwise(self, rng):
+    def test_train_mode_needs_an_rng(self, rng):
+        with pytest.raises(ValueError, match="rng"):
+            T.dropout(t(rng.normal(size=(2, 3))), 0.5, mode="train")
+
+    def test_equal_seeded_rngs_give_bitwise_equal_masks(self, rng):
         x = t(rng.normal(size=(6, 6)))
-        outs = []
-        for _ in range(2):
-            with T.Graph(seed=123):
-                y = T.dropout(x, 0.5, mode="train")
-                outs.append(y.data)
-        assert np.array_equal(outs[0], outs[1])
+        y1 = T.dropout(x, 0.5, mode="train", rng=np.random.default_rng(123))
+        y2 = T.dropout(x, 0.5, mode="train", rng=np.random.default_rng(123))
+        assert np.array_equal(y1.data, y2.data)
+        assert np.count_nonzero(y1.data == 0.0) > 0
 
 
 class TestBackward:
     def test_sum_gives_ones(self, rng):
         x = t(rng.normal(size=(3, 4)))
-        T.backward(T.tsum(x))
+        T.backward(scalar_loss(x))
         assert np.array_equal(x.grad, np.ones((3, 4)))
 
     def test_repeated_calls_accumulate(self):
@@ -241,14 +244,16 @@ class TestBackward:
         x = t(rng.normal(size=(4, 4)))
         w = t(rng.normal(size=(4, 4)))
         b = t(rng.normal(size=4))
-        loss1 = T.tsum(T.tanh(T.affine(x, w, b)))
-        # one highway layer whose gate and body share w and b
-        loss2 = T.tmean(T.highway(x, [(w, b, w, b)]))
-        T.backward(T.add(loss1, loss2))
+        g1, g2 = rng.normal(size=(4, 4)), rng.normal(size=(4, 4))
+        # an affine map, then one highway layer whose gate and body share its
+        # w and b, so every leaf is reached along more than one path
+        out = T.highway(T.affine(x, w, b), [(w, b, w, b)])
+        # sum(out * (g1 + g2)) is the sum of the losses sum(out * g1) and sum(out * g2)
+        T.backward(scalar_loss(out, g1 + g2))
         joint = (x.grad.copy(), w.grad.copy(), b.grad.copy())
         x.grad = w.grad = b.grad = None
-        T.backward(T.tsum(T.tanh(T.affine(x, w, b))))
-        T.backward(T.tmean(T.highway(x, [(w, b, w, b)])))
+        T.backward(scalar_loss(out, g1))
+        T.backward(scalar_loss(out, g2))
         assert np.abs(joint[0] - x.grad).max() < 1e-12
         assert np.abs(joint[1] - w.grad).max() < 1e-12
         assert np.abs(joint[2] - b.grad).max() < 1e-12
@@ -258,15 +263,19 @@ class TestBackward:
             T.backward(t(rng.normal(size=(2, 2))))
 
     def test_shared_subgraph(self):
-        x, y = t([[2.0]]), t([[-4.0]])
-        q = scalar_product(T.add(x, y), T.add(x, t([[1.0]])))
+        # u = 3x feeds both the input and the weight of one affine map:
+        # q = u * u + y = 9x^2 + y, so dq/dx = 18x and dq/dy = 1
+        x, y = t([[2.0]]), t([-4.0])
+        u = T.mul_scalar(x, 3.0)
+        q = scalar_loss(T.affine(u, u, y))
+        assert q.item() == 32.0
         T.backward(q)
-        assert x.grad.tolist() == [[1.0]] and y.grad.tolist() == [[3.0]]
+        assert x.grad.tolist() == [[36.0]] and y.grad.tolist() == [1.0]
 
     def test_grads_land_on_leaves_only(self, rng):
         x = t(rng.normal(size=(2, 3)))
-        y = T.tanh(x)
-        loss = T.tsum(y)
+        y = T.mul_scalar(x, 0.5)
+        loss = scalar_loss(y)
         T.backward(loss)
         assert x.grad is not None
         assert y.grad is None and loss.grad is None
@@ -276,7 +285,7 @@ class TestGraph:
     def test_no_grad_produces_leaves(self, rng):
         x = t(rng.normal(size=(2, 2)))
         with T.no_grad():
-            y = T.tanh(x)
+            y = T.mul_scalar(x, 2.0)
         assert y.op == "leaf" and y._backward is None
 
 
@@ -284,7 +293,7 @@ class TestOpsMisc:
     def test_lookup_grad_only_touched_rows(self, rng):
         table = t(rng.normal(size=(6, 3)))
         out = T.lookup(table, np.array([1, 1, 4]))
-        T.backward(T.tsum(out))
+        T.backward(scalar_loss(out))
         assert np.array_equal(table.grad[1], np.full(3, 2.0))
         assert np.array_equal(table.grad[4], np.ones(3))
         untouched = [0, 2, 3, 5]
@@ -315,7 +324,7 @@ class TestOpsMisc:
         flat = T.masked_concat(a, np.array([[0, 1, 0], [2, 1, 0]]), np.array([3, 2]))
         assert flat.data[1].tolist() == a.data[2].tolist() + a.data[1].tolist() + [0.0, 0.0]
         col_weights = np.arange(1.0, 7.0)
-        T.backward(T.tsum(T.mul_array(T.lookup(flat, np.array([1])), col_weights)))
+        T.backward(scalar_loss(T.lookup(flat, np.array([1])), col_weights))
         assert a.grad.tolist() == [[0.0, 0.0], [3.0, 4.0], [1.0, 2.0]]
 
     def test_conv_width_exceeds_positions(self, rng):

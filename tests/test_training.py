@@ -275,14 +275,13 @@ class TestTrain:
                             rng=np.random.default_rng(0))
         inputs, targets, _ = next(batch_stream(corpus.streams["train"], 4, 6))
         rng = np.random.default_rng(1)
-        with T.Graph(rng=rng):
-            loss, state = model.window_nll(inputs, targets, corpus, model.zero_state(4),
-                                           mode="train", rng=rng)
-            T.backward(loss)
+        loss, state = model.window_nll(inputs, targets, corpus, model.zero_state(4),
+                                       mode="train", rng=rng)
+        T.backward(loss)
         assert loss.data.dtype == np.float32
         for name, p in model.params.items():
             assert p.grad is not None and p.grad.dtype == np.float32, name
-        assert all(a.dtype == np.float32 for layer in state.layers for a in layer)
+        assert all(a.dtype == np.float32 for layer in state for a in layer)
 
     def test_checkpoint_that_does_not_fit_the_model_is_a_config_error(self):
         vocabs, corpus = tiny_data()
@@ -379,11 +378,10 @@ def test_f32_window_keeps_parameter_dtype(variant, mode, softmax):
                    sample_count=sample_count_for(vocabs.word_count, 0.5))
     inputs, targets, _ = next(batch_stream(corpus.streams["train"], 4, 6))
     rng = np.random.default_rng(1)
-    with T.Graph(rng=rng):
-        loss, _ = model.window_nll(inputs, targets, corpus, model.zero_state(4),
-                                   mode=mode, rng=rng,
-                                   **(sampled if softmax == "sampled" else {}))
-        T.backward(loss)
+    loss, _ = model.window_nll(inputs, targets, corpus, model.zero_state(4),
+                               mode=mode, rng=rng,
+                               **(sampled if softmax == "sampled" else {}))
+    T.backward(loss)
     seen, stack = set(), [loss]
     while stack:
         node = stack.pop()
