@@ -178,64 +178,61 @@ def sampled_softmax_nll(h: Tensor, w_out: Tensor, b_out: Tensor,
                         rng: np.random.Generator) -> Tensor:
     """Sampled-softmax NLL estimate for training gradients.
 
-    Per position the candidates are the target plus ``sample_count`` distinct
-    sampled negatives; logits get a log-expected-count correction
-    ``log(1 - (1-q)^k)`` under the proposal q.  The shared pool holds
-    ``sample_count + 1`` distinct ids, so the count must lie in (0, V).
+    One shared pool of k + 1 distinct ids (k = ``sample_count``, which must
+    lie in (0, V)) is drawn per call.  A row's candidates are its target
+    plus k negatives: the pool less one excluded id, which is the target
+    when the pool holds it and otherwise the last id drawn.  So k = V-1
+    degenerates to the full softmax.  Logits get a log-expected-count
+    correction ``log(1 - (1-q)^tries)`` under the proposal q.  The pool is
+    scored in sorted id order as one (m, k+1) matrix whose excluded slot is
+    -inf in each row, next to a separate column of target logits.
     """
-    hv = h.data
-    m, d = hv.shape
-    v = w_out.data.shape[1]
+    hv, wv, bv = h.data, w_out.data, b_out.data
+    (m, d), v = hv.shape, wv.shape[1]
     targets = np.asarray(targets).reshape(-1)
     if not 0 < sample_count < v:
         raise ConfigError(f"sampled softmax needs 0 < sample count < vocabulary size "
                           f"{v}, got {sample_count}; lower sample_fraction or use "
                           f"softmax = full")
     k = sample_count
-    # one shared pool of k+1 distinct ids; per row the target is excluded
-    # from its k negatives, so k = V-1 degenerates to the full softmax
-    pool, tries = sampler.sample(rng, k + 1)
-    pos_of = np.full(v, -1, dtype=np.int64)
-    pos_of[pool] = np.arange(k + 1)
-    select = np.broadcast_to(np.arange(k), (m, k)).copy()
-    hit = pos_of[targets]
-    swap_rows = np.nonzero((hit >= 0) & (hit < k))[0]
-    select[swap_rows, hit[swap_rows]] = k
-
-    wv, bv = w_out.data, b_out.data
-    pool_logits = hv @ wv[:, pool] + bv[pool]          # m x (k+1)
-    target_logits = np.einsum("md,dm->m", hv, wv[:, targets]) + bv[targets]
-    neg_logits = np.take_along_axis(pool_logits, select, axis=1)
-
+    drawn, tries = sampler.sample(rng, k + 1)
+    pool = np.sort(drawn)
+    ids = np.concatenate([pool, targets])
     with np.errstate(divide="ignore"):
-        log_expected = np.log(-np.expm1(tries * np.log1p(-sampler.probs)))
-    cand_ids = np.concatenate([targets[:, None], pool[select]], axis=1)
-    logits = np.concatenate([target_logits[:, None], neg_logits], axis=1)
-    logits = logits - log_expected[cand_ids].astype(logits.dtype, copy=False)
+        log_expected = np.log(-np.expm1(tries * np.log1p(-sampler.probs[ids])))
+    bias = bv[ids] - log_expected.astype(hv.dtype, copy=False)
+    slot = np.searchsorted(pool, targets)
+    outside = pool[np.minimum(slot, k)] != targets
+    slot[outside] = np.searchsorted(pool, drawn[k])
 
-    zmax = logits.max(axis=1, keepdims=True)
-    e = np.exp(logits - zmax)
-    z = e.sum(axis=1, keepdims=True)
-    nll = np.log(z[:, 0]) + zmax[:, 0] - logits[:, 0]
+    # each gathered once, column-contiguous, and reused by the backward
+    w_pool = np.take(wv, pool, axis=1)                 # d x (k+1)
+    w_tgt = np.take(wv, targets, axis=1)               # d x m
+    e = hv @ w_pool
+    e += bias[:k + 1]
+    e[np.arange(m), slot] = -np.inf
+    t = np.einsum("md,dm->m", hv, w_tgt) + bias[k + 1:]
+    zmax = np.maximum(e.max(axis=1), t)
+    e -= zmax[:, None]
+    np.exp(e, out=e)
+    e_t = np.exp(t - zmax)
+    z = e.sum(axis=1) + e_t
+    nll = np.log(z) + zmax - t
 
     def bw(g):
-        dlogits = e / z
-        dlogits[:, 0] -= 1.0
-        dlogits *= g / m
-        # each row's k selected pool positions are distinct: a plain scatter
-        d_pool = np.zeros((m, k + 1), dtype=dlogits.dtype)
-        np.put_along_axis(d_pool, select, dlogits[:, 1:], axis=1)
-        dh = dlogits[:, :1] * wv[:, targets].T + d_pool @ wv[:, pool].T
+        d_pool = e / z[:, None]
+        d_pool *= g / m
+        d_tgt = (e_t / z - 1.0) * (g / m)
+        dh = d_tgt[:, None] * w_tgt.T + d_pool @ w_pool.T
 
         def dw(buf):
-            np.add.at(buf.T, targets, dlogits[:, :1] * hv)
-            buf[:, pool] += hv.T @ d_pool
+            # element (i, ids[j]) of the C-order (d, V) buffer is i*V + ids[j]
+            cols = np.concatenate([hv.T @ d_pool, hv.T * d_tgt], axis=1)
+            flat = np.arange(d)[:, None] * v + ids
+            np.add.at(buf.reshape(-1, copy=False), flat.reshape(-1), cols.reshape(-1))
 
-        def db(buf):
-            np.add.at(buf, targets, dlogits[:, 0])
-            buf[pool] += d_pool.sum(axis=0)  # the pool ids are distinct
-
-        return (dh, dw, db)
+        return (dh, dw, lambda buf: np.add.at(
+            buf, ids, np.concatenate([d_pool.sum(axis=0), d_tgt])))
 
     return T.custom_op(np.asarray(nll.mean()), "sampled_softmax", (h, w_out, b_out), bw)
 

@@ -217,16 +217,19 @@ def _check_ids(name: str, table: Tensor, ids: np.ndarray) -> None:
         raise IndexError(f"{name}: id out of range for table with {table.data.shape[0]} rows")
 
 
+def _scatter_rows(buf: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
+    """buf[ids[i]] += rows[i] for each i in turn, as one flat ``np.add.at``."""
+    width = buf.shape[1]
+    flat = np.asarray(ids).reshape(-1, 1) * width + np.arange(width)
+    np.add.at(buf.reshape(-1, copy=False), flat.reshape(-1), np.asarray(rows).reshape(-1))
+
+
 def lookup(table: Tensor, ids: np.ndarray) -> Tensor:
     """Row lookup ``table[ids]``; gradients flow only to looked-up rows."""
     ids = np.asarray(ids)
     _check_ids("lookup", table, ids)
-    width = table.data.shape[1]
-    def bw(g):
-        def scatter(buf):
-            np.add.at(buf, ids.reshape(-1), g.reshape(-1, width))
-        return (scatter,)
-    return custom_op(table.data[ids], "lookup", (table,), bw)
+    return custom_op(table.data[ids], "lookup", (table,),
+                     lambda g: (lambda buf: _scatter_rows(buf, ids, g),))
 
 
 def masked_concat(table: Tensor, rows: np.ndarray, lengths: np.ndarray) -> Tensor:
@@ -235,11 +238,8 @@ def masked_concat(table: Tensor, rows: np.ndarray, lengths: np.ndarray) -> Tenso
     _check_ids("masked_concat", table, rows)
     (m, n), d = rows.shape, table.data.shape[1]
     mask = (np.arange(n) < np.asarray(lengths)[:, None])[:, :, None].astype(table.data.dtype)
-    def bw(g):
-        def scatter(buf):
-            np.add.at(buf, rows.reshape(-1), (g.reshape(m, n, d) * mask).reshape(-1, d))
-        return (scatter,)
-    return custom_op((table.data[rows] * mask).reshape(m, n * d), "masked_concat", (table,), bw)
+    return custom_op((table.data[rows] * mask).reshape(m, n * d), "masked_concat", (table,),
+                     lambda g: (lambda buf: _scatter_rows(buf, rows, g.reshape(m, n, d) * mask),))
 
 
 def weighted_sum_time(seq: Tensor, alpha: np.ndarray) -> Tensor:
@@ -285,7 +285,8 @@ def attention_pool(seq: Tensor, lengths: np.ndarray, bias: Tensor,
         def bias_scatter(buf):
             buf[:n] += d_scores.sum(axis=0)
         def table_scatter(buf):
-            np.add.at(buf, (rows, cols), d_scores)
+            # score (i, t) lands on the one element table[rows[i, t], t]
+            _scatter_rows(buf.reshape(-1, 1, copy=False), rows * buf.shape[1] + cols, d_scores)
         return (alpha[:, :, None] * g[:, None, :], bias_scatter, table_scatter)[:len(parents)]
 
     parents = (seq, bias) if table is None else (seq, bias, table)

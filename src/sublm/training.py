@@ -135,9 +135,9 @@ def next_lr(lr: float, val_ppl: float, best_ppl: float) -> float:
 
 
 def _checkpoint(config, vocabs, epoch, best_val, arrays) -> Checkpoint:
+    """``arrays`` must be private copies: the checkpoint keeps them as they are."""
     return Checkpoint(config=config.to_dict(), vocab_hashes=vocabs.hashes(),
-                      epoch=epoch, best_val_ppl=best_val,
-                      arrays={k: v.copy() for k, v in arrays.items()})
+                      epoch=epoch, best_val_ppl=best_val, arrays=arrays)
 
 
 def train(config: TrainConfig, vocabs: Vocabularies, corpus: EncodedCorpus,
@@ -193,7 +193,8 @@ def train(config: TrainConfig, vocabs: Vocabularies, corpus: EncodedCorpus,
                 clip_global_norm(grads, config.clip_norm)
                 for name, p in model.params.items():
                     if p.grad is not None:
-                        p.data -= lr * p.grad
+                        p.grad *= lr  # in place: no full-size temporary
+                        p.data -= p.grad
                     p.grad = None
                 total_nll += loss.item() * inputs.size
                 total_tokens += inputs.size

@@ -229,6 +229,34 @@ class TestPerplexity:
         assert tps > 0
 
 
+def sampled_reference(hv, wv, bv, targets, drawn, tries, probs):
+    """Sampled-softmax loss and h/w/b gradients, one row at a time.
+
+    Row r's candidates are its target and the ``len(drawn) - 1`` drawn ids
+    other than the excluded one: the target when drawn, else the last id
+    drawn.  Logits carry the correction log(1 - (1-q)^tries).
+    """
+    m = len(targets)
+    log_expected = np.log(-np.expm1(tries * np.log1p(-probs)))
+    loss, dh, dw, db = 0.0, np.zeros_like(hv), np.zeros_like(wv), np.zeros_like(bv)
+    for r, y in enumerate(targets):
+        excluded = y if y in drawn else drawn[-1]
+        negatives = [c for c in drawn if c != excluded]
+        assert len(negatives) == len(drawn) - 1
+        cands = [y] + negatives
+        logits = hv[r] @ wv[:, cands] + bv[cands] - log_expected[cands]
+        p = np.exp(logits - logits.max())
+        p /= p.sum()
+        loss -= np.log(p[0]) / m
+        p[0] -= 1.0
+        p /= m
+        dh[r] = wv[:, cands] @ p
+        for c, pc in zip(cands, p):
+            dw[:, c] += pc * hv[r]
+            db[c] += pc
+    return loss, dh, dw, db
+
+
 class TestSampledSoftmax:
     def _setup(self, rng, v=12, m=5, d=4):
         h = T.Tensor(rng.normal(size=(m, d)))
@@ -266,45 +294,41 @@ class TestSampledSoftmax:
 
         check_grads(loss_fn, {"h": h, "w": w, "b": b})
 
-    def test_backward_bitwise_equals_scatter_add_form(self, rng):
-        # the scatter-free backward against the np.add.at form, with targets
-        # inside the shared pool, so their rows move a negative to position k
-        v, m, k = 12, 6, 7
-        h, w, b, _ = self._setup(rng, v=v, m=m)
-        sampler = UniformSampler(v)
-        pool, tries = sampler.sample(np.random.default_rng(3), k + 1)
-        targets = np.concatenate([pool[[0, 2, k]], rng.integers(0, v, size=m - 3)])
-        T.backward(sampled_softmax_nll(h, w, b, targets, k, sampler,
-                                       np.random.default_rng(3)))
+    def _pool_and_targets(self, sampler, k, seed):
+        """The pool a call seeded with ``seed`` draws, and six targets: one
+        mid-pool, the last-drawn id, one outside the pool, and duplicates."""
+        pool, tries = sampler.sample(np.random.default_rng(seed), k + 1)
+        outside = np.setdiff1d(np.arange(len(sampler.probs)), pool)
+        targets = np.array([pool[3], pool[k], outside[0], pool[3], outside[0], pool[k]])
+        return pool, tries, targets
 
-        hv, wv, bv = h.data, w.data, b.data
-        pos_of = np.full(v, -1)
-        pos_of[pool] = np.arange(k + 1)
-        select = np.broadcast_to(np.arange(k), (m, k)).copy()
-        hit = pos_of[targets]
-        swap_rows = np.nonzero((hit >= 0) & (hit < k))[0]
-        assert {0, 1} <= set(swap_rows.tolist()) and 2 not in swap_rows
-        select[swap_rows, hit[swap_rows]] = k
-        pool_logits = hv @ wv[:, pool] + bv[pool]
-        target_logits = np.einsum("md,dm->m", hv, wv[:, targets]) + bv[targets]
-        log_expected = np.log(-np.expm1(tries * np.log1p(-sampler.probs)))
-        logits = np.concatenate([target_logits[:, None],
-                                 np.take_along_axis(pool_logits, select, axis=1)], axis=1)
-        logits = logits - log_expected[np.concatenate([targets[:, None], pool[select]], axis=1)]
-        e = np.exp(logits - logits.max(axis=1, keepdims=True))
-        dlogits = e / e.sum(axis=1, keepdims=True)
-        dlogits[:, 0] -= 1.0
-        dlogits *= 1.0 / m
-        d_pool = np.zeros((m, k + 1))
-        np.add.at(d_pool, (np.arange(m)[:, None], select), dlogits[:, 1:])
-        dw, db = np.zeros_like(wv), np.zeros_like(bv)
-        np.add.at(dw.T, targets, dlogits[:, :1] * hv)
-        dw[:, pool] += hv.T @ d_pool
-        np.add.at(db, targets, dlogits[:, 0])
-        np.add.at(db, pool, d_pool.sum(axis=0))
-        dh = dlogits[:, :1] * wv[:, targets].T + d_pool @ wv[:, pool].T
-        assert np.array_equal(h.grad, dh)
-        assert np.array_equal(w.grad, dw) and np.array_equal(b.grad, db)
+    def test_backward_matches_per_row_reference(self, rng):
+        v, k = 12, 7
+        sampler = LogUniformSampler(np.arange(v, 0, -1))
+        pool, tries, targets = self._pool_and_targets(sampler, k, seed=3)
+        h, w, b, _ = self._setup(rng, v=v, m=len(targets))
+        ref = sampled_reference(h.data, w.data, b.data, targets, pool, tries, sampler.probs)
+        for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-5)):
+            params = [T.Tensor(p.data, dtype=dtype) for p in (h, w, b)]
+            loss = sampled_softmax_nll(*params, targets, k, sampler, np.random.default_rng(3))
+            T.backward(loss)
+            assert loss.data.dtype == dtype
+            assert abs(loss.item() - ref[0]) <= tol * abs(ref[0])
+            for p, expected in zip(params, ref[1:]):
+                assert p.grad.dtype == dtype
+                assert np.abs(p.grad - expected).max() <= tol * np.abs(expected).max()
+
+    def test_gradient_matches_fd_with_targets_in_each_slot(self, rng):
+        v, k = 12, 7
+        sampler = LogUniformSampler(np.arange(v, 0, -1))
+        _, _, targets = self._pool_and_targets(sampler, k, seed=4)
+        h, w, b, _ = self._setup(rng, v=v, m=len(targets))
+
+        def loss_fn():
+            return sampled_softmax_nll(h, w, b, targets, k, sampler,
+                                       np.random.default_rng(4))
+
+        check_grads(loss_fn, {"h": h, "w": w, "b": b})
 
     def test_expected_gradient_near_full_softmax(self):
         # Monte-Carlo oracle: average sampled gradients over 200 resamplings

@@ -299,6 +299,25 @@ class TestOpsMisc:
         untouched = [0, 2, 3, 5]
         assert np.all(table.grad[untouched] == 0.0)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_row_scatters_bitwise_equal_2d_add_at(self, rng, dtype):
+        # lookup and masked_concat scatter flat; repeated ids must add up in
+        # the same order as the row-wise np.add.at
+        table = T.Tensor(rng.normal(size=(5, 3)), dtype=dtype)
+        ids = np.array([[4, 1, 4], [1, 1, 0]])
+        lengths = np.array([3, 2])
+        g = rng.normal(size=(2, 9)).astype(dtype)
+        for out, rows in ((T.lookup(table, ids.reshape(-1)), g.reshape(6, 3)),
+                          (T.masked_concat(table, ids, lengths),
+                           (g.reshape(2, 3, 3) * (np.arange(3) < lengths[:, None])[:, :, None]
+                            ).reshape(6, 3))):
+            table.grad = None
+            T.backward(scalar_loss(out, g.reshape(out.shape)))
+            expected = np.zeros_like(table.data)
+            np.add.at(expected, ids.reshape(-1), rows)
+            assert table.grad.dtype == dtype
+            assert np.array_equal(table.grad, expected)
+
     def test_lookup_out_of_range(self, rng):
         with pytest.raises(IndexError):
             T.lookup(t(rng.normal(size=(4, 2))), np.array([4]))
