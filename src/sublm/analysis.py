@@ -17,6 +17,7 @@ import numpy as np
 from . import tensor as T
 from .corpus import EncodedCorpus, Vocabularies
 from .lm import LanguageModel, timed_perplexity
+from .training import count_parameters
 
 log = logging.getLogger("sublm")
 
@@ -166,7 +167,7 @@ def eval_report(named_models: list[tuple[str, LanguageModel]],
     rows = []
     records = {}
     for name, model in named_models:
-        count = sum(p.data.size for p in model.params.values())
+        count = count_parameters(model)
         for split, stream in named_streams:
             ppl, tps, records[name, split] = timed_perplexity(model, stream, corpus,
                                                               steps=steps)

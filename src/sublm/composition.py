@@ -14,7 +14,7 @@ variants mask them out entirely, and the CNN pools only over the first
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,13 +29,15 @@ LINEAR_VARIANTS = ("syl-sum", "syl-avg", "syl-avg-a", "syl-avg-b")
 
 @dataclass
 class CompositionConfig:
-    """Dimensions of one composition variant.
+    """Dimensions of one composition variant, copied from the training config.
 
     ``d_s``: subword embedding size.  ``d_w``: word vector size where it is a
     free choice (word-direct lookup width, syl-lstm hidden size).  ``d_hw``:
-    highway width for syl-concat; derived for syl-cnn and forced to ``d_s``
-    for the linear family.  ``cnn_banks`` overrides the default width/depth
-    schedule ``[(l, c*l) for l in 1..L]``.
+    highway width for syl-concat; the linear family composes in subword
+    space and ignores it.  syl-cnn has banks of widths 1..``cnn_max_width``
+    with ``cnn_depth_unit`` * width filters each (Kim et al., 2016); without
+    an explicit unit, ``d_hw`` picks the unit whose total width comes
+    nearest, and with one, a nonzero ``d_hw`` must equal that total.
     """
 
     variant: str
@@ -45,14 +47,15 @@ class CompositionConfig:
     highway_layers: int = 2
     cnn_max_width: int = 0
     cnn_depth_unit: int = 0
-    cnn_banks: tuple[tuple[int, int], ...] = ()
     n: int = 0
 
     def banks(self) -> tuple[tuple[int, int], ...]:
-        if self.cnn_banks:
-            return tuple(self.cnn_banks)
-        return tuple((l, self.cnn_depth_unit * l)
-                     for l in range(1, self.cnn_max_width + 1))
+        """syl-cnn's (width, depth) per convolution bank."""
+        unit = self.cnn_depth_unit
+        if not unit and self.cnn_max_width:
+            triangle = self.cnn_max_width * (self.cnn_max_width + 1) // 2
+            unit = max(1, round(self.d_hw / triangle))
+        return tuple((l, unit * l) for l in range(1, self.cnn_max_width + 1))
 
     def validate(self) -> None:
         if self.variant not in VARIANTS:
@@ -70,25 +73,21 @@ class CompositionConfig:
         if self.variant == "syl-lstm" and self.d_w < 1:
             raise ConfigError("syl-lstm needs d_w >= 1 (its hidden size)")
         if self.variant == "syl-cnn":
-            banks = self.banks()
-            if not banks:
-                raise ConfigError("syl-cnn needs cnn_max_width/cnn_depth_unit or cnn_banks")
-            widest = max(w for w, _ in banks)
-            if widest > self.n:
-                raise ConfigError(
-                    f"filter width {widest} exceeds max subwords per word n={self.n}")
-            derived = sum(k for _, k in banks)
-            if self.d_hw and self.d_hw != derived:
+            if self.cnn_max_width < 1 or self.cnn_depth_unit < 0 or self.d_hw < 0:
+                raise ConfigError("syl-cnn needs cnn_max_width >= 1, cnn_depth_unit "
+                                  ">= 0 and d_hw >= 0")
+            if self.cnn_max_width > self.n:
+                raise ConfigError(f"filter width {self.cnn_max_width} exceeds max "
+                                  f"subwords per word n={self.n}")
+            derived = self.output_dim()
+            if self.cnn_depth_unit and self.d_hw and self.d_hw != derived:
                 raise ConfigError(
                     f"syl-cnn d_hw={self.d_hw} but the filter banks give {derived}")
         if self.variant == "syl-concat" and self.d_hw < 1:
             raise ConfigError("syl-concat needs d_hw >= 1")
 
     def output_dim(self) -> int:
-        self.validate()
-        if self.variant == "word-direct":
-            return self.d_w
-        if self.variant == "syl-lstm":
+        if self.variant in ("word-direct", "syl-lstm"):
             return self.d_w
         if self.variant == "syl-cnn":
             return sum(k for _, k in self.banks())
@@ -97,14 +96,15 @@ class CompositionConfig:
         return self.d_hw  # syl-concat, after projection
 
 
-def uniform_init(rng: np.random.Generator, init_range: float):
+def uniform_init(rng: np.random.Generator, init_range: float, dtype=np.float64):
+    """Initializer drawing U(-init_range, init_range) in float64, stored as ``dtype``."""
     def init(shape):
-        return rng.uniform(-init_range, init_range, size=shape)
+        return rng.uniform(-init_range, init_range, size=shape).astype(dtype, copy=False)
     return init
 
 
-def zeros_init(shape):
-    return np.zeros(shape)
+def zeros_init(shape, dtype=np.float64):
+    return np.zeros(shape, dtype=dtype)
 
 
 class HighwayStack:
@@ -114,17 +114,15 @@ class HighwayStack:
     zero layers a call returns its input unchanged.
     """
 
-    def __init__(self, dim: int, layers: int, init, dtype, prefix: str = "hw"):
+    def __init__(self, dim: int, layers: int, init):
         self.dim = dim
         self.params: dict[str, Tensor] = {}
         self._layers = []
         for i in range(layers):
-            w_t = Tensor(init((dim, dim)), dtype=dtype)
-            b_t = Tensor(init((dim,)), dtype=dtype)
-            w_h = Tensor(init((dim, dim)), dtype=dtype)
-            b_h = Tensor(init((dim,)), dtype=dtype)
-            self.params.update({f"{prefix}{i}.w_t": w_t, f"{prefix}{i}.b_t": b_t,
-                                f"{prefix}{i}.w_h": w_h, f"{prefix}{i}.b_h": b_h})
+            w_t, b_t = Tensor(init((dim, dim))), Tensor(init((dim,)))
+            w_h, b_h = Tensor(init((dim, dim))), Tensor(init((dim,)))
+            self.params.update({f"hw{i}.w_t": w_t, f"hw{i}.b_t": b_t,
+                                f"hw{i}.w_h": w_h, f"hw{i}.b_h": b_h})
             self._layers.append((w_t, b_t, w_h, b_h))
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -138,7 +136,7 @@ class Composer:
     """Base for all composition variants; subclasses fill ``params``."""
 
     def __init__(self, config: CompositionConfig):
-        config.validate()
+        config.validate()  # the only validation a build runs
         self.config = config
         self.out_dim = config.output_dim()
         self.params: dict[str, Tensor] = {}
@@ -151,9 +149,9 @@ class Composer:
 class WordDirect(Composer):
     """Baseline: direct row lookup in a word embedding matrix, no highway."""
 
-    def __init__(self, config, vocab_size, subword_vocab_size, init, dtype):
+    def __init__(self, config, vocab_size, subword_vocab_size, init):
         super().__init__(config)
-        self.e_w = Tensor(init((vocab_size, config.d_w)), dtype=dtype)
+        self.e_w = Tensor(init((vocab_size, config.d_w)))
         self.params["e_w"] = self.e_w
 
     def __call__(self, word_ids, rows, lengths):
@@ -170,10 +168,10 @@ class SylLSTM(Composer):
     caller's order.
     """
 
-    def __init__(self, config, vocab_size, subword_vocab_size, init, dtype):
+    def __init__(self, config, vocab_size, subword_vocab_size, init):
         super().__init__(config)
-        self.e_s = Tensor(init((subword_vocab_size, config.d_s)), dtype=dtype)
-        self.cell = T.LSTMCellParams.create(config.d_s, config.d_w, init, dtype)
+        self.e_s = Tensor(init((subword_vocab_size, config.d_s)))
+        self.cell = T.LSTMCellParams.create(config.d_s, config.d_w, init)
         self.params["e_s"] = self.e_s
         self.params.update({f"cell.{k}": v for k, v in self.cell.tensors().items()})
 
@@ -196,18 +194,18 @@ class SylLSTM(Composer):
 class SylCNN(Composer):
     """Max-over-time tanh convolutions over subword vectors, then highway."""
 
-    def __init__(self, config, vocab_size, subword_vocab_size, init, dtype):
+    def __init__(self, config, vocab_size, subword_vocab_size, init):
         super().__init__(config)
-        self.e_s = Tensor(init((subword_vocab_size, config.d_s)), dtype=dtype)
+        self.e_s = Tensor(init((subword_vocab_size, config.d_s)))
         self.params["e_s"] = self.e_s
         self.banks = []
         for width, depth in config.banks():
-            w = Tensor(init((width * config.d_s, depth)), dtype=dtype)
-            b = Tensor(init((depth,)), dtype=dtype)
+            w = Tensor(init((width * config.d_s, depth)))
+            b = Tensor(init((depth,)))
             self.params[f"conv{width}.w"] = w
             self.params[f"conv{width}.b"] = b
             self.banks.append((width, w, b))
-        self.highway = HighwayStack(self.out_dim, config.highway_layers, init, dtype)
+        self.highway = HighwayStack(self.out_dim, config.highway_layers, init)
         self.params.update(self.highway.params)
 
     def __call__(self, word_ids, rows, lengths):
@@ -228,19 +226,19 @@ class SylLinear(Composer):
     ones with :func:`tensor.weighted_sum_time`.
     """
 
-    def __init__(self, config, vocab_size, subword_vocab_size, init, dtype):
+    def __init__(self, config, vocab_size, subword_vocab_size, init):
         super().__init__(config)
-        self.e_s = Tensor(init((subword_vocab_size, config.d_s)), dtype=dtype)
+        self.e_s = Tensor(init((subword_vocab_size, config.d_s)))
         self.params["e_s"] = self.e_s
         if config.variant == "syl-avg-a":
-            self.a = Tensor(init((config.n,)), dtype=dtype)
+            self.a = Tensor(init((config.n,)))
             self.params["a"] = self.a
         elif config.variant == "syl-avg-b":
-            self.a_mat = Tensor(init((subword_vocab_size, config.n)), dtype=dtype)
-            self.b_vec = Tensor(init((config.n,)), dtype=dtype)
+            self.a_mat = Tensor(init((subword_vocab_size, config.n)))
+            self.b_vec = Tensor(init((config.n,)))
             self.params["a_mat"] = self.a_mat
             self.params["b_vec"] = self.b_vec
-        self.highway = HighwayStack(config.d_s, config.highway_layers, init, dtype)
+        self.highway = HighwayStack(config.d_s, config.highway_layers, init)
         self.params.update(self.highway.params)
 
     def attention(self, rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -273,15 +271,15 @@ class SylConcat(Composer):
     project to the highway width, then highway: three recorded ops,
     :func:`tensor.masked_concat`, ``affine`` and :func:`tensor.highway`."""
 
-    def __init__(self, config, vocab_size, subword_vocab_size, init, dtype):
+    def __init__(self, config, vocab_size, subword_vocab_size, init):
         super().__init__(config)
         n, d_s, d_hw = config.n, config.d_s, config.d_hw
-        self.e_s = Tensor(init((subword_vocab_size, d_s)), dtype=dtype)
-        self.proj_w = Tensor(init((n * d_s, d_hw)), dtype=dtype)
-        self.proj_b = Tensor(init((d_hw,)), dtype=dtype)
+        self.e_s = Tensor(init((subword_vocab_size, d_s)))
+        self.proj_w = Tensor(init((n * d_s, d_hw)))
+        self.proj_b = Tensor(init((d_hw,)))
         self.params.update({"e_s": self.e_s, "proj.w": self.proj_w,
                             "proj.b": self.proj_b})
-        self.highway = HighwayStack(d_hw, config.highway_layers, init, dtype)
+        self.highway = HighwayStack(d_hw, config.highway_layers, init)
         self.params.update(self.highway.params)
 
     def concat_vector(self, rows, lengths) -> Tensor:
@@ -298,13 +296,11 @@ class SylConcat(Composer):
 
 
 def build_composer(config: CompositionConfig, vocab_size: int,
-                   subword_vocab_size: int, init=zeros_init,
-                   dtype=np.float64) -> Composer:
-    config.validate()
+                   subword_vocab_size: int, init=zeros_init) -> Composer:
     cls = {
         "word-direct": WordDirect,
         "syl-lstm": SylLSTM,
         "syl-cnn": SylCNN,
         "syl-concat": SylConcat,
     }.get(config.variant, SylLinear)
-    return cls(config, vocab_size, subword_vocab_size, init, dtype)
+    return cls(config, vocab_size, subword_vocab_size, init)

@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from . import tensor as T
-from .composition import Composer
+from .composition import Composer, zeros_init
 from .corpus import EncodedCorpus, eval_windows
 from .errors import ConfigError
 from .tensor import Tensor
@@ -30,20 +30,17 @@ class LanguageModel:
     NUM_LAYERS = 2
 
     def __init__(self, composer: Composer, d_lm: int, vocab_size: int,
-                 dropout_rate: float = 0.5, init=None, dtype=np.float64):
-        if init is None:
-            init = np.zeros
+                 dropout_rate: float = 0.5, init=zeros_init):
         self.composer = composer
         self.d_lm = d_lm
         self.vocab_size = vocab_size
         self.dropout_rate = dropout_rate
-        self.dtype = dtype
         self.cells = [
-            T.LSTMCellParams.create(composer.out_dim, d_lm, init, dtype),
-            T.LSTMCellParams.create(d_lm, d_lm, init, dtype),
+            T.LSTMCellParams.create(composer.out_dim, d_lm, init),
+            T.LSTMCellParams.create(d_lm, d_lm, init),
         ]
-        self.w_out = Tensor(init((d_lm, vocab_size)), dtype=dtype)
-        self.b_out = Tensor(init((vocab_size,)), dtype=dtype)
+        self.w_out = Tensor(init((d_lm, vocab_size)))
+        self.b_out = Tensor(init((vocab_size,)))
         self.params: dict[str, Tensor] = {}
         self.params.update({f"composer.{k}": v for k, v in composer.params.items()})
         for i, cell in enumerate(self.cells):
@@ -57,8 +54,9 @@ class LanguageModel:
         The state is carried from one window into the next as plain arrays,
         not tensors, so no gradient flows across a window boundary.
         """
-        return [(np.zeros((batch, self.d_lm), dtype=self.dtype),
-                 np.zeros((batch, self.d_lm), dtype=self.dtype))
+        dtype = self.w_out.data.dtype
+        return [(np.zeros((batch, self.d_lm), dtype=dtype),
+                 np.zeros((batch, self.d_lm), dtype=dtype))
                 for _ in range(self.NUM_LAYERS)]
 
     def embed_window(self, word_ids: np.ndarray, corpus: EncodedCorpus) -> Tensor:

@@ -364,15 +364,12 @@ class LSTMCellParams:
         return {"wx": self.wx, "wh": self.wh, "b": self.b}
 
     @staticmethod
-    def create(input_dim: int, hidden_dim: int, init, dtype=DEFAULT_DTYPE,
-               forget_bias: float = 1.0) -> "LSTMCellParams":
+    def create(input_dim: int, hidden_dim: int, init) -> "LSTMCellParams":
+        """A cell from ``init(shape)``, whatever its dtype; forget biases are 1."""
         b = init((4 * hidden_dim,))
-        b[hidden_dim:2 * hidden_dim] = forget_bias
-        return LSTMCellParams(
-            Tensor(init((input_dim, 4 * hidden_dim)), dtype=dtype),
-            Tensor(init((hidden_dim, 4 * hidden_dim)), dtype=dtype),
-            Tensor(b, dtype=dtype),
-        )
+        b[hidden_dim:2 * hidden_dim] = 1.0
+        return LSTMCellParams(Tensor(init((input_dim, 4 * hidden_dim))),
+                              Tensor(init((hidden_dim, 4 * hidden_dim))), Tensor(b))
 
 
 def lstm(x: Tensor, h0: np.ndarray, c0: np.ndarray, params: LSTMCellParams,
@@ -464,13 +461,13 @@ def lstm(x: Tensor, h0: np.ndarray, c0: np.ndarray, params: LSTMCellParams,
     return out, hs[last], cs[last]
 
 
-def conv1d_max_over_time(seq: Tensor, banks, lengths=None) -> Tensor:
+def conv1d_max_over_time(seq: Tensor, banks, lengths: np.ndarray) -> Tensor:
     """Tanh convolution banks over time, max-pooled and concatenated, as one op.
 
     ``banks`` is a list of ``(width, weights, bias)`` with weights shaped
     (width*d, k); out[i, f] = max_t tanh(window(i, t) @ weights[:, f] + bias[f])
-    over each bank's k columns in turn.  ``lengths``, when given, limits
-    pooling of each row to windows starting inside its first
+    over each bank's k columns in turn.  ``lengths`` limits pooling of each
+    row to windows starting inside its first
     ``min(max(lengths[i], max_width), n)`` positions, so trailing padding
     beyond that never matters; ``meta`` holds these extents.
 
@@ -483,8 +480,7 @@ def conv1d_max_over_time(seq: Tensor, banks, lengths=None) -> Tensor:
     widest = max(w for w, _, _ in banks)
     if widest > n:
         raise ConfigError(f"filter width {widest} exceeds {n} subword positions")
-    extent = np.full(m, n) if lengths is None else np.minimum(
-        np.maximum(np.asarray(lengths), widest), n)
+    extent = np.minimum(np.maximum(np.asarray(lengths), widest), n)
     outs, saved = [], []
     for width, weights, bias in banks:
         t_count = n - width + 1

@@ -9,6 +9,7 @@ bitwise-identical checkpoint.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -17,8 +18,7 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import Checkpoint
-from .composition import (LINEAR_VARIANTS, CompositionConfig, build_composer,
-                          uniform_init)
+from .composition import CompositionConfig, build_composer, uniform_init, zeros_init
 from .config import TrainConfig
 from .corpus import EncodedCorpus, Vocabularies, batch_stream, check_eval_stream
 from .errors import BudgetError, ConfigError, NonFiniteGradientError
@@ -51,42 +51,34 @@ class ModelSizes:
 
 
 def composition_config(config: TrainConfig, sizes: ModelSizes) -> CompositionConfig:
-    """Derive the composition dimensions from a training config.
+    """The composition fields of a training config, plus the vocabulary's n.
 
-    The linear family composes in subword space, so its highway width is
-    d_s regardless of any sampled d_hw.  For syl-cnn an explicit depth unit
-    wins; otherwise the nearest depth unit reproducing d_hw is used.
+    The composition config derives everything else itself (see
+    :class:`CompositionConfig`), so a sampled d_hw reaches syl-cnn as the
+    target width of its filter banks.
     """
-    variant = config.variant
-    depth_unit = config.cnn_depth_unit
-    if variant == "syl-cnn" and not depth_unit:
-        if not config.cnn_max_width:
-            raise ConfigError("syl-cnn needs cnn_max_width")
-        triangle = config.cnn_max_width * (config.cnn_max_width + 1) // 2
-        depth_unit = max(1, round(config.d_hw / triangle))
-    d_hw = config.d_s if variant in LINEAR_VARIANTS else config.d_hw
     return CompositionConfig(
-        variant=variant, d_s=config.d_s, d_w=config.d_w, d_hw=d_hw,
-        highway_layers=config.highway_layers,
-        cnn_max_width=config.cnn_max_width, cnn_depth_unit=depth_unit,
-        n=sizes.max_subwords)
+        variant=config.variant, d_s=config.d_s, d_w=config.d_w, d_hw=config.d_hw,
+        highway_layers=config.highway_layers, cnn_max_width=config.cnn_max_width,
+        cnn_depth_unit=config.cnn_depth_unit, n=sizes.max_subwords)
 
 
 def build_model(config: TrainConfig, sizes: ModelSizes,
                 rng: np.random.Generator | None = None) -> LanguageModel:
     """Build the model; random uniform init when an rng is given, zeros else.
 
-    Both LSTMs' forget biases are set to 1 regardless of the init.
+    The initializer sets the precision of every array.  Both LSTMs' forget
+    biases are set to 1 regardless of the init.
     """
-    init = np.zeros if rng is None else uniform_init(rng, config.init_range)
     dtype = np.float64 if config.precision == "f64" else np.float32
-    comp_cfg = composition_config(config, sizes)
-    composer = build_composer(comp_cfg, sizes.vocab_size,
-                              sizes.subword_vocab_size, init=init, dtype=dtype)
+    init = (functools.partial(zeros_init, dtype=dtype) if rng is None
+            else uniform_init(rng, config.init_range, dtype))
+    composer = build_composer(composition_config(config, sizes), sizes.vocab_size,
+                              sizes.subword_vocab_size, init=init)
     if config.d_lm < 1:
         raise ConfigError("d_lm must be positive")
     return LanguageModel(composer, d_lm=config.d_lm, vocab_size=sizes.vocab_size,
-                         dropout_rate=config.dropout, init=init, dtype=dtype)
+                         dropout_rate=config.dropout, init=init)
 
 
 def count_parameters(model: LanguageModel) -> int:

@@ -175,7 +175,7 @@ def test_criterion_3_composition_algebra():
                       avg.combine(rows, lengths).data).max() < 1e-12
 
         # saturated carry gate makes a highway layer the identity
-        hw = HighwayStack(6, 1, zeros_init, np.float64)
+        hw = HighwayStack(6, 1, zeros_init)
         hw.params["hw0.b_t"].data[:] = -20.0
         x = T.Tensor(rng.normal(size=(4, 6)))
         assert np.abs(hw(x).data - x.data).max() < 1e-6

@@ -78,20 +78,20 @@ class TestConfig:
 
     def test_explicit_banks(self):
         cfg = CompositionConfig(variant="syl-cnn", d_s=4, n=6,
-                                cnn_banks=((1, 25), (6, 10)))
+                                cnn_max_width=1, cnn_depth_unit=35)
         assert cfg.output_dim() == 35
 
 
 class TestHighway:
     def test_carry_saturation_identity(self, rng):
-        hw = HighwayStack(6, 1, zeros_init, np.float64)
+        hw = HighwayStack(6, 1, zeros_init)
         hw.params["hw0.b_t"].data[:] = -20.0
         x = T.Tensor(rng.normal(size=(4, 6)))
         y = hw(x)
         assert np.abs(y.data - x.data).max() < 1e-6
 
     def test_transform_saturation_zeroes(self, rng):
-        hw = HighwayStack(6, 1, zeros_init, np.float64)
+        hw = HighwayStack(6, 1, zeros_init)
         hw.params["hw0.b_t"].data[:] = 20.0
         x = T.Tensor(rng.normal(size=(4, 6)))
         y = hw(x)
@@ -99,7 +99,7 @@ class TestHighway:
 
     def test_gradients(self):
         def build(rng):
-            hw = HighwayStack(8, 2, uniform_init(rng, 0.3), np.float64)
+            hw = HighwayStack(8, 2, uniform_init(rng, 0.3))
             x = T.Tensor(rng.normal(size=(4, 8)))
             return (lambda: scalar_loss(hw(x))), dict(hw.params, x=x)
 
@@ -108,19 +108,19 @@ class TestHighway:
 
     @pytest.mark.parametrize("layers", [1, 2, 4])
     def test_whole_stack_is_one_recorded_op(self, rng, layers):
-        hw = HighwayStack(6, layers, uniform_init(rng, 0.3), np.float64)
+        hw = HighwayStack(6, layers, uniform_init(rng, 0.3))
         x = T.Tensor(rng.normal(size=(4, 6)))
         y = hw(x)
         assert recorded_ops(y) == ["highway"]
         assert y._parents[0] is x and len(y._parents) == 1 + 4 * layers
 
     def test_zero_layers_record_nothing(self, rng):
-        hw = HighwayStack(6, 0, zeros_init, np.float64)
+        hw = HighwayStack(6, 0, zeros_init)
         x = T.Tensor(rng.normal(size=(4, 6)))
         assert hw(x) is x
 
     def test_dim_mismatch(self, rng):
-        hw = HighwayStack(6, 1, zeros_init, np.float64)
+        hw = HighwayStack(6, 1, zeros_init)
         with pytest.raises(ConfigError):
             hw(T.Tensor(rng.normal(size=(2, 5))))
 
@@ -189,13 +189,13 @@ class TestSylCNN:
 
     def test_recorded_ops_do_not_grow_with_bank_count(self, rng):
         # one lookup, one conv op for every bank, then the highway op
-        def ops_for(banks):
-            comp = make("syl-cnn", rng, n=6, cnn_banks=banks)
+        def ops_for(max_width):
+            comp = make("syl-cnn", rng, n=6, cnn_max_width=max_width, cnn_depth_unit=2)
             _, rows, lengths = random_batch(rng, n=6)
             return recorded_ops(comp(None, rows, lengths))
 
-        one = ops_for(((1, 2),))
-        six = ops_for(tuple((w, 2) for w in range(1, 7)))
+        one = ops_for(1)
+        six = ops_for(6)
         assert one == six
         assert one == ["conv1d_max_over_time", "highway", "lookup"]
 

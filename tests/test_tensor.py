@@ -121,7 +121,7 @@ class TestConvMaxOverTime:
                   T.Tensor(rng.normal(scale=0.4, size=k), dtype=dtype))
                  for width, k in ((1, 3), (2, 2), (4, 5))]
         # 1 and 2 are shorter than the widest filter
-        lengths = np.array([1, 2, 3, 4, 5, 2]) if with_lengths else None
+        lengths = np.array([1, 2, 3, 4, 5, 2]) if with_lengths else np.full(m, n)
         arrays = [(width, w.data, b.data) for width, w, b in banks]
         return seq, banks, lengths, arrays
 
@@ -350,7 +350,7 @@ class TestOpsMisc:
         seq = t(rng.normal(size=(2, 3, 4)))
         banks = [(5, t(rng.normal(size=(20, 2))), t(np.zeros(2)))]
         with pytest.raises(ConfigError):
-            T.conv1d_max_over_time(seq, banks)
+            T.conv1d_max_over_time(seq, banks, np.full(2, 3))
 
     def test_conv_width1_basis_vector(self, rng):
         # one width-1 filter equal to a basis vector picks tanh of the max coordinate
@@ -359,13 +359,13 @@ class TestOpsMisc:
         w = np.zeros((d, 1))
         w[2, 0] = 1.0
         banks = [(1, t(w), t(np.zeros(1)))]
-        out = T.conv1d_max_over_time(seq, banks)
+        out = T.conv1d_max_over_time(seq, banks, np.full(m, n))
         expected = np.tanh(seq.data[:, :, 2]).max(axis=1, keepdims=True)
         assert np.abs(out.data - expected).max() < 1e-15
 
     def test_conv_single_position(self, rng):
         seq = t(rng.normal(size=(2, 1, 3)))
         banks = [(1, t(rng.normal(size=(3, 2))), t(rng.normal(size=2)))]
-        out = T.conv1d_max_over_time(seq, banks)
+        out = T.conv1d_max_over_time(seq, banks, np.full(2, 1))
         expected = np.tanh(seq.data[:, 0, :] @ banks[0][1].data + banks[0][2].data)
         assert np.abs(out.data - expected).max() < 1e-15

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import weakref
 
@@ -6,6 +7,7 @@ import pytest
 
 from sublm import tensor as T
 from sublm.checkpoint import Checkpoint
+from sublm.cli import run
 from sublm.config import TrainConfig, parse_config
 from sublm import lm as lm_module
 from sublm.corpus import batch_stream, build_vocabs, encode_corpus, eval_windows
@@ -65,6 +67,18 @@ def tiny_config(**overrides):
     return TrainConfig(**base)
 
 
+VARIANT_DIMS = {
+    "word-direct": dict(d_w=8),
+    "syl-lstm": dict(d_s=6, d_w=8),
+    "syl-cnn": dict(d_s=6, cnn_max_width=2, cnn_depth_unit=2),
+    "syl-concat": dict(d_s=6, d_hw=10),
+    "syl-sum": dict(d_s=8),
+    "syl-avg": dict(d_s=8),
+    "syl-avg-a": dict(d_s=8),
+    "syl-avg-b": dict(d_s=8),
+}
+
+
 class TestCountParameters:
     def test_lstm_word_5m(self):
         cfg = TrainConfig(variant="word-direct", d_w=108, d_lm=300)
@@ -101,6 +115,37 @@ class TestCountParameters:
             cfg = TrainConfig(variant="syl-sum", d_s=175, d_lm=d_lm)
             count = count_parameters(build_model(cfg, PAPER_SIZES))
             assert count == symbolic_count("syl-sum", PAPER_SIZES, d_s=175, d_lm=d_lm)
+
+
+class TestSylCNNWidths:
+    def test_d_hw_picks_the_nearest_depth_unit(self):
+        # widths 1..6 take 21 depth units; 300 / 21 rounds to 14, so 294 wide
+        cfg = TrainConfig(variant="syl-cnn", d_s=50, d_hw=300, cnn_max_width=6, d_lm=300)
+        assert build_model(cfg, PAPER_SIZES).composer.out_dim == 294
+
+    def test_search_accepts_widths_off_the_depth_unit_grid(self):
+        base = TrainConfig(variant="syl-cnn", d_s=50, cnn_max_width=3, d_lm=300)
+        trials = propose_trials(base, budget=20_000_000, trials=3,
+                                sizes=PAPER_SIZES, seed=0, tolerance=0.05)
+        assert any(t.d_hw % 6 for t in trials)
+
+    def test_explicit_unit_that_misses_d_hw_is_a_config_error(self, tmp_path):
+        cfg = TrainConfig(variant="syl-cnn", d_s=50, d_hw=300, cnn_max_width=3,
+                          cnn_depth_unit=60, d_lm=300)
+        with pytest.raises(ConfigError, match="give 360"):
+            build_model(cfg, PAPER_SIZES)
+        path = tmp_path / "cnn.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in dict(
+            variant="syl-cnn", d_s=50, d_hw=300, cnn_max_width=3, cnn_depth_unit=60,
+            d_lm=300, vocab_size=10000, subword_vocab_size=6000, max_subwords=8).items()))
+        assert run(["params", "--config", str(path)]) == 4
+
+    @pytest.mark.parametrize("key", ["cnn_max_width", "cnn_depth_unit", "d_hw"])
+    def test_negative_width_keys_are_config_errors(self, key):
+        dims = dict(d_s=50, d_hw=300, cnn_max_width=3, d_lm=300)
+        cfg = TrainConfig(variant="syl-cnn", **{**dims, key: -2})
+        with pytest.raises(ConfigError, match=key):
+            build_model(cfg, PAPER_SIZES)
 
 
 class TestBudget:
@@ -268,11 +313,20 @@ class TestTrain:
         train(tiny_config(max_epochs=1), vocabs, corpus)
         assert len(alive_at_start) > 1 and not any(alive_at_start)
 
-    def test_f32_train_window_stays_float32(self):
+    @pytest.mark.parametrize("variant", list(VARIANT_DIMS))
+    def test_f32_train_window_stays_float32(self, variant):
         vocabs, corpus = tiny_data()
-        cfg = tiny_config(variant="syl-concat", d_hw=10, precision="f32", dropout=0.5)
-        model = build_model(cfg, ModelSizes.from_vocabs(vocabs),
-                            rng=np.random.default_rng(0))
+        sizes = ModelSizes.from_vocabs(vocabs)
+        cfg = tiny_config(variant=variant, precision="f32", dropout=0.5,
+                          **VARIANT_DIMS[variant])
+        model = build_model(cfg, sizes, rng=np.random.default_rng(0))
+        # the f32 build is the f64 build's draws, rounded once
+        wide = build_model(dataclasses.replace(cfg, precision="f64"), sizes,
+                           rng=np.random.default_rng(0))
+        for name, p in model.params.items():
+            assert p.data.dtype == np.float32, name
+            assert (p.data.tobytes()
+                    == wide.params[name].data.astype(np.float32).tobytes()), name
         inputs, targets, _ = next(batch_stream(corpus.streams["train"], 4, 6))
         rng = np.random.default_rng(1)
         loss, state = model.window_nll(inputs, targets, corpus, model.zero_state(4),
@@ -350,18 +404,6 @@ def test_window_hooks_run_once_per_window(monkeypatch):
     evaluate_stream(model, corpus.streams["valid"], corpus, steps=7)
     sizes = [x.size for x, _, _ in eval_windows(corpus.streams["valid"], 7)]
     assert embedded == sizes and scored == sizes
-
-
-VARIANT_DIMS = {
-    "word-direct": dict(d_w=8),
-    "syl-lstm": dict(d_s=6, d_w=8),
-    "syl-cnn": dict(d_s=6, cnn_max_width=2, cnn_depth_unit=2),
-    "syl-concat": dict(d_s=6, d_hw=10),
-    "syl-sum": dict(d_s=8),
-    "syl-avg": dict(d_s=8),
-    "syl-avg-a": dict(d_s=8),
-    "syl-avg-b": dict(d_s=8),
-}
 
 
 @pytest.mark.parametrize("softmax", ["full", "sampled"])
