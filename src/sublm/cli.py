@@ -182,16 +182,18 @@ def cmd_params(args) -> int:
 
 def cmd_tune(args) -> int:
     config = _resolve_config_paths(load_config(args.config), args.config)
+    flags = {"budget": args.budget, "budget_tolerance": args.tolerance}
+    config = dataclasses.replace(config, **{k: v for k, v in flags.items()
+                                            if v is not None})
     vocabs, corpus = _training_data(config)
-    ranked = random_search(config, budget=args.budget, trials=args.trials,
-                           vocabs=vocabs, corpus=corpus, seed=args.seed,
-                           tolerance=args.tolerance,
-                           log_line=lambda s: print(s, file=sys.stderr))
-    header = "rank\td_s\td_hw\td_lm\tparams\tval_ppl\tseed"
+    ranked = random_search(config, trials=args.trials, vocabs=vocabs, corpus=corpus,
+                           seed=args.seed, log_line=lambda s: print(s, file=sys.stderr))
+    header = "rank\td_s\td_hw\tout_dim\td_lm\tparams\tval_ppl\tseed"
     lines = [header]
     for rank, trial in enumerate(ranked, start=1):
-        lines.append(f"{rank}\t{trial.d_s}\t{trial.d_hw}\t{trial.d_lm}"
-                     f"\t{trial.param_count}\t{trial.val_ppl:.4f}\t{trial.seed}")
+        c = trial.config
+        lines.append(f"{rank}\t{c.d_s}\t{c.d_hw}\t{trial.out_dim}\t{c.d_lm}"
+                     f"\t{trial.param_count}\t{trial.val_ppl:.4f}\t{c.seed}")
     table = "\n".join(lines) + "\n"
     print(table, end="")
     if args.out:
@@ -331,10 +333,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_params)
 
-    p = sub.add_parser("tune", help="random hyperparameter search under a budget")
+    p = sub.add_parser("tune", help="random search for d_s, d_hw and d_lm under "
+                       "the config's parameter budget")
     p.add_argument("--config", required=True)
-    p.add_argument("--budget", type=int, required=True)
-    p.add_argument("--tolerance", type=float, default=None)
+    p.add_argument("--budget", type=int, default=None,
+                   help="override the config's budget (parameters)")
+    p.add_argument("--tolerance", type=float, default=None,
+                   help="override the config's budget_tolerance (fraction)")
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="", help="also write the ranked table here")

@@ -248,30 +248,30 @@ def sample_dims(rng: np.random.Generator) -> tuple[int, int, int]:
 
 @dataclass
 class Trial:
-    d_s: int
-    d_hw: int
-    d_lm: int
+    """One accepted draw: the config it trains (drawn dimensions, derived
+    seed, budget), its model's parameter count and composer output width,
+    and its validation PPL once trained."""
+
+    config: TrainConfig
     param_count: int
-    seed: int
+    out_dim: int
     val_ppl: float = math.inf
 
-    def config(self, base: TrainConfig) -> TrainConfig:
-        return dataclasses.replace(base, d_s=self.d_s, d_hw=self.d_hw,
-                                   d_lm=self.d_lm, seed=self.seed)
 
-
-def propose_trials(base: TrainConfig, budget: int, trials: int,
-                   sizes: ModelSizes, seed: int,
-                   tolerance: float | None = None,
+def propose_trials(base: TrainConfig, trials: int, sizes: ModelSizes, seed: int,
                    max_draws: int | None = None) -> list[Trial]:
-    """Rejection-sample dimension draws until ``trials`` fit the budget.
+    """Rejection-sample dimension draws until ``trials`` fit ``base``'s budget.
 
-    Draws violating d_s < d_lm or the budget band are rejected.  Raises when
-    ``trials`` < 1 or the draw allowance is exhausted with nothing accepted.
+    Draws violating d_s < d_lm or the band ``base.budget`` +/-
+    ``base.budget_tolerance`` are rejected.  Raises before drawing when
+    ``trials`` < 1 or the base has no positive budget, at the first draw
+    when the base itself cannot build, and when the draw allowance is
+    exhausted with nothing accepted.
     """
     if trials < 1:
         raise ConfigError(f"random search needs at least 1 trial, got {trials}")
-    tol = base.budget_tolerance if tolerance is None else tolerance
+    if base.budget <= 0:
+        raise ConfigError(f"random search needs a positive budget, got {base.budget}")
     rng = np.random.default_rng(seed)
     accepted: list[Trial] = []
     max_draws = max_draws or max(1000, 400 * trials)
@@ -279,42 +279,35 @@ def propose_trials(base: TrainConfig, budget: int, trials: int,
         d_s, d_hw, d_lm = sample_dims(rng)
         if d_s >= d_lm:
             continue
-        candidate = dataclasses.replace(
-            base, d_s=d_s, d_hw=d_hw, d_lm=d_lm,
-            budget=budget, budget_tolerance=tol)
+        candidate = dataclasses.replace(base, d_s=d_s, d_hw=d_hw, d_lm=d_lm)
+        model = build_model(candidate, sizes)
+        count = count_parameters(model)
         try:
-            count = count_parameters(build_model(candidate, sizes))
             check_budget(candidate, count)
-        except (BudgetError, ConfigError):
+        except BudgetError:
             continue
         trial_seed = int(np.random.SeedSequence([seed, len(accepted)])
                          .generate_state(1)[0])
-        accepted.append(Trial(d_s, d_hw, d_lm, count, trial_seed))
+        accepted.append(Trial(dataclasses.replace(candidate, seed=trial_seed),
+                              count, model.composer.out_dim))
         if len(accepted) == trials:
             return accepted
     if not accepted:
         raise ConfigError(
-            f"random search found no configuration inside the {budget} "
-            f"(+/- {tol:.0%}) budget after {max_draws} draws")
+            f"random search found no configuration inside the {base.budget} "
+            f"(+/- {base.budget_tolerance:.0%}) budget after {max_draws} draws")
     log.warning("random search accepted only %d of %d requested trials",
                 len(accepted), trials)
     return accepted
 
 
-def random_search(base: TrainConfig, budget: int, trials: int,
-                  vocabs: Vocabularies, corpus: EncodedCorpus, seed: int,
-                  tolerance: float | None = None, log_line=None) -> list[Trial]:
-    """Train every accepted draw and rank the trials by validation PPL."""
-    sizes = ModelSizes.from_vocabs(vocabs)
-    accepted = propose_trials(base, budget, trials, sizes, seed, tolerance)
+def random_search(base: TrainConfig, trials: int, vocabs: Vocabularies,
+                  corpus: EncodedCorpus, seed: int, log_line=None) -> list[Trial]:
+    """Train every accepted trial's config and rank the trials by validation PPL."""
+    accepted = propose_trials(base, trials, ModelSizes.from_vocabs(vocabs), seed)
     for i, trial in enumerate(accepted):
-        config = trial.config(base)
-        config = dataclasses.replace(config, budget=budget,
-                                     budget_tolerance=tolerance
-                                     if tolerance is not None
-                                     else base.budget_tolerance)
-        ckpt = train(config, vocabs, corpus,
+        ckpt = train(trial.config, vocabs, corpus,
                      log_line=(lambda s: log_line(f"trial {i}\t{s}"))
                      if log_line else None)
         trial.val_ppl = ckpt.best_val_ppl
-    return sorted(accepted, key=lambda t: (t.val_ppl, t.d_s))
+    return sorted(accepted, key=lambda t: (t.val_ppl, t.config.d_s))

@@ -202,9 +202,9 @@ class TestPipeline:
         assert run(["tune", "--config", str(cfg), "--budget", "30000",
                     "--tolerance", "0.9", "--trials", "2", "--seed", "0"]) == 0
         out = capsys.readouterr().out.strip().split("\n")
-        assert out[0] == "rank\td_s\td_hw\td_lm\tparams\tval_ppl\tseed"
+        assert out[0] == "rank\td_s\td_hw\tout_dim\td_lm\tparams\tval_ppl\tseed"
         assert len(out) == 3
-        ppls = [float(line.split("\t")[5]) for line in out[1:]]
+        ppls = [float(line.split("\t")[6]) for line in out[1:]]
         assert ppls == sorted(ppls)
 
 
@@ -386,6 +386,50 @@ class TestOutOfRangeKeys:
         errors = error_lines(capsys)
         assert errors and "sample_fraction" in errors[0]
         assert not ckpt.exists()
+
+
+class TestTuneBudget:
+    """tune searches under the config's budget; --budget only overrides it."""
+
+    @pytest.fixture()
+    def draws(self, monkeypatch):
+        import sublm.training as training_mod
+        calls = []
+
+        def toy_dims(r):
+            calls.append(1)
+            return int(r.integers(4, 8)), int(r.integers(8, 12)), int(r.integers(9, 14))
+
+        monkeypatch.setattr(training_mod, "sample_dims", toy_dims)
+        return calls
+
+    def test_budget_comes_from_the_config(self, tmp_path, rng, capsys, draws):
+        train_f, valid_f = write_demo_corpus(tmp_path, rng, sentences=40)
+        cfg = write_demo_config(tmp_path, train_f, valid_f, max_epochs=1,
+                                budget=2500, budget_tolerance=0.3)
+        assert run(["tune", "--config", str(cfg), "--trials", "2"]) == 0
+        rows = capsys.readouterr().out.strip().split("\n")[1:]
+        assert len(rows) == 2
+        assert all(1750 <= int(row.split("\t")[5]) <= 3250 for row in rows)
+
+    def test_zero_budget_exits_4_before_any_draw(self, tmp_path, rng, capsys, draws):
+        train_f, valid_f = write_demo_corpus(tmp_path, rng, sentences=40)
+        cfg = write_demo_config(tmp_path, train_f, valid_f, max_epochs=1,
+                                budget=2500, budget_tolerance=0.3)
+        assert run(["tune", "--config", str(cfg), "--budget", "0", "--trials", "2"]) == 4
+        errors = error_lines(capsys)
+        assert errors and "budget" in errors[0]
+        assert not draws
+
+    def test_base_config_error_is_reported_as_itself(self, tmp_path, rng, capsys):
+        # syl-lstm needs d_w, which the search does not draw
+        train_f, valid_f = write_demo_corpus(tmp_path, rng, sentences=40)
+        cfg = write_demo_config(tmp_path, train_f, valid_f, max_epochs=1,
+                                variant="syl-lstm")
+        assert run(["tune", "--config", str(cfg), "--budget", "2500",
+                    "--tolerance", "0.3", "--trials", "2"]) == 4
+        errors = error_lines(capsys)
+        assert errors and "d_w" in errors[0]
 
 
 class TestDivergence:

@@ -124,10 +124,18 @@ class TestSylCNNWidths:
         assert build_model(cfg, PAPER_SIZES).composer.out_dim == 294
 
     def test_search_accepts_widths_off_the_depth_unit_grid(self):
-        base = TrainConfig(variant="syl-cnn", d_s=50, cnn_max_width=3, d_lm=300)
-        trials = propose_trials(base, budget=20_000_000, trials=3,
-                                sizes=PAPER_SIZES, seed=0, tolerance=0.05)
-        assert any(t.d_hw % 6 for t in trials)
+        base = TrainConfig(variant="syl-cnn", d_s=50, cnn_max_width=3, d_lm=300,
+                           budget=20_000_000, budget_tolerance=0.05)
+        trials = propose_trials(base, trials=3, sizes=PAPER_SIZES, seed=0)
+        assert any(t.config.d_hw % 6 for t in trials)
+
+    def test_trials_report_the_built_width(self):
+        base = TrainConfig(variant="syl-cnn", d_s=50, cnn_max_width=3, d_lm=300,
+                           budget=20_000_000, budget_tolerance=0.05)
+        trials = propose_trials(base, trials=3, sizes=PAPER_SIZES, seed=0)
+        assert (trials[0].config.d_hw, trials[0].out_dim) == (1363, 1362)
+        for t in trials:
+            assert t.out_dim == build_model(t.config, PAPER_SIZES).composer.out_dim
 
     def test_explicit_unit_that_misses_d_hw_is_a_config_error(self, tmp_path):
         cfg = TrainConfig(variant="syl-cnn", d_s=50, d_hw=300, cnn_max_width=3,
@@ -452,19 +460,19 @@ class TestRandomSearch:
         assert abs(below - 0.5) < 0.05
 
     def test_accepted_trials_fit_budget_band(self):
-        base = TrainConfig(variant="syl-concat", d_s=50, d_hw=300, d_lm=300)
-        trials = propose_trials(base, budget=20_000_000, trials=5,
-                                sizes=PAPER_SIZES, seed=0, tolerance=0.05)
+        base = TrainConfig(variant="syl-concat", d_s=50, d_hw=300, d_lm=300,
+                           budget=20_000_000, budget_tolerance=0.05)
+        trials = propose_trials(base, trials=5, sizes=PAPER_SIZES, seed=0)
         assert len(trials) == 5
         for t in trials:
             assert 19_000_000 <= t.param_count <= 21_000_000
-            assert t.d_s < t.d_lm
+            assert t.config.d_s < t.config.d_lm
 
     def test_impossible_budget_raises(self):
-        base = TrainConfig(variant="syl-concat", d_s=50, d_hw=300, d_lm=300)
+        base = TrainConfig(variant="syl-concat", d_s=50, d_hw=300, d_lm=300,
+                           budget=1000, budget_tolerance=0.01)
         with pytest.raises(ConfigError):
-            propose_trials(base, budget=1000, trials=2, sizes=PAPER_SIZES,
-                           seed=0, tolerance=0.01, max_draws=200)
+            propose_trials(base, trials=2, sizes=PAPER_SIZES, seed=0, max_draws=200)
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_fewer_than_one_trial_raises(self, monkeypatch, trials):
@@ -473,8 +481,8 @@ class TestRandomSearch:
         monkeypatch.setattr(training_mod, "sample_dims", lambda rng: (4, 8, 10))
         sizes = ModelSizes(vocab_size=20, subword_vocab_size=15, max_subwords=4)
         with pytest.raises(ConfigError):
-            propose_trials(tiny_config(), budget=5_000, trials=trials, sizes=sizes,
-                           seed=0, tolerance=0.99, max_draws=5)
+            propose_trials(tiny_config(budget=5_000, budget_tolerance=0.99),
+                           trials=trials, sizes=sizes, seed=0, max_draws=5)
 
     def test_end_to_end_tiny_search(self, monkeypatch):
         # isolates the train-and-rank wiring from the paper-scale marginals
@@ -487,10 +495,9 @@ class TestRandomSearch:
 
         monkeypatch.setattr(training_mod, "sample_dims", toy_dims)
         vocabs, corpus = tiny_data()
-        base = tiny_config(max_epochs=1)
-        ranked = random_search(base, budget=40_000, trials=3, vocabs=vocabs,
-                               corpus=corpus, seed=3, tolerance=0.9)
+        base = tiny_config(max_epochs=1, budget=40_000, budget_tolerance=0.9)
+        ranked = random_search(base, trials=3, vocabs=vocabs, corpus=corpus, seed=3)
         assert len(ranked) == 3
         assert ranked[0].val_ppl <= ranked[1].val_ppl <= ranked[2].val_ppl
         assert all(math.isfinite(t.val_ppl) for t in ranked)
-        assert len({t.seed for t in ranked}) == 3  # independent derived seeds
+        assert len({t.config.seed for t in ranked}) == 3  # independent derived seeds
