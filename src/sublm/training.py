@@ -238,11 +238,30 @@ D_HW_RANGE = (160, 2000)
 D_LM_RANGE = (300, 2000)
 
 
-def sample_dims(rng: np.random.Generator) -> tuple[int, int, int]:
-    """One draw of (d_s, d_hw, d_lm): d_s uniform, the others log-uniform."""
+def d_lm_cap(config: TrainConfig, vocab_size: int) -> float:
+    """The largest d_lm that can fit ``config``'s budget band, plus 0.5.
+
+    Whatever the variant, the output layer and the two word-LSTM layers
+    hold at least d*V + V + 12d^2 + 8d parameters.  The 0.5 keeps the whole
+    rounding interval of every integer d_lm that fits.
+    """
+    v, hi = vocab_size, config.budget * (1 + config.budget_tolerance)
+    disc = (v + 8) ** 2 - 48 * (v - hi)
+    return (math.sqrt(max(disc, 0.0)) - (v + 8)) / 24 + 0.5
+
+
+def sample_dims(rng: np.random.Generator,
+                d_lm_cap: float = math.inf) -> tuple[int, int, int]:
+    """One draw of (d_s, d_hw, d_lm): d_s uniform, the others log-uniform,
+    with d_lm's range cut at ``d_lm_cap``."""
+    d_lm_hi = min(D_LM_RANGE[1], d_lm_cap)
+    if d_lm_hi < D_LM_RANGE[0]:
+        raise ConfigError(f"the budget fits no d_lm in the search range {D_LM_RANGE}: "
+                          f"the output and word-LSTM layers alone need d_lm < "
+                          f"{d_lm_cap:.0f}")
     d_s = int(round(rng.uniform(*D_S_RANGE)))
     d_hw = int(round(math.exp(rng.uniform(*map(math.log, D_HW_RANGE)))))
-    d_lm = int(round(math.exp(rng.uniform(*map(math.log, D_LM_RANGE)))))
+    d_lm = int(round(math.exp(rng.uniform(math.log(D_LM_RANGE[0]), math.log(d_lm_hi)))))
     return d_s, d_hw, d_lm
 
 
@@ -262,7 +281,9 @@ def propose_trials(base: TrainConfig, trials: int, sizes: ModelSizes, seed: int,
                    max_draws: int | None = None) -> list[Trial]:
     """Rejection-sample dimension draws until ``trials`` fit ``base``'s budget.
 
-    Draws violating d_s < d_lm or the band ``base.budget`` +/-
+    d_lm is drawn only up to :func:`d_lm_cap`, a superset of the values that
+    can fit, so the accepted draws follow the same law as with the full
+    range.  Draws violating d_s < d_lm or the band ``base.budget`` +/-
     ``base.budget_tolerance`` are rejected.  Raises before drawing when
     ``trials`` < 1 or the base has no positive budget, at the first draw
     when the base itself cannot build, and when the draw allowance is
@@ -272,11 +293,12 @@ def propose_trials(base: TrainConfig, trials: int, sizes: ModelSizes, seed: int,
         raise ConfigError(f"random search needs at least 1 trial, got {trials}")
     if base.budget <= 0:
         raise ConfigError(f"random search needs a positive budget, got {base.budget}")
+    cap = d_lm_cap(base, sizes.vocab_size)
     rng = np.random.default_rng(seed)
     accepted: list[Trial] = []
     max_draws = max_draws or max(1000, 400 * trials)
     for draw in range(max_draws):
-        d_s, d_hw, d_lm = sample_dims(rng)
+        d_s, d_hw, d_lm = sample_dims(rng, cap)
         if d_s >= d_lm:
             continue
         candidate = dataclasses.replace(base, d_s=d_s, d_hw=d_hw, d_lm=d_lm)

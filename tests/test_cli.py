@@ -195,7 +195,7 @@ class TestPipeline:
     def test_tune_emits_ranked_table(self, tmp_path, rng, capsys, monkeypatch):
         import sublm.training as training_mod
         monkeypatch.setattr(training_mod, "sample_dims",
-                            lambda r: (int(r.integers(4, 8)), int(r.integers(8, 12)),
+                            lambda r, cap: (int(r.integers(4, 8)), int(r.integers(8, 12)),
                                        int(r.integers(9, 14))))
         train_f, valid_f = write_demo_corpus(tmp_path, rng, sentences=40)
         cfg = write_demo_config(tmp_path, train_f, valid_f, max_epochs=1)
@@ -396,7 +396,7 @@ class TestTuneBudget:
         import sublm.training as training_mod
         calls = []
 
-        def toy_dims(r):
+        def toy_dims(r, cap):
             calls.append(1)
             return int(r.integers(4, 8)), int(r.integers(8, 12)), int(r.integers(9, 14))
 
@@ -426,8 +426,8 @@ class TestTuneBudget:
         train_f, valid_f = write_demo_corpus(tmp_path, rng, sentences=40)
         cfg = write_demo_config(tmp_path, train_f, valid_f, max_epochs=1,
                                 variant="syl-lstm")
-        assert run(["tune", "--config", str(cfg), "--budget", "2500",
-                    "--tolerance", "0.3", "--trials", "2"]) == 4
+        assert run(["tune", "--config", str(cfg), "--budget", "5000000",
+                    "--trials", "2"]) == 4
         errors = error_lines(capsys)
         assert errors and "d_w" in errors[0]
 

@@ -17,7 +17,7 @@ from sublm.lm import (LanguageModel, LogUniformSampler, evaluate_stream,
 from sublm.syllabify import Segmenter
 from sublm.training import (D_HW_RANGE, D_LM_RANGE, D_S_RANGE, ModelSizes,
                             build_model, check_budget, clip_global_norm,
-                            count_parameters, model_from_checkpoint, next_lr,
+                            count_parameters, d_lm_cap, model_from_checkpoint, next_lr,
                             propose_trials, random_search, sample_dims, train)
 
 PAPER_SIZES = ModelSizes(vocab_size=10_000, subword_vocab_size=6_000, max_subwords=8)
@@ -133,7 +133,7 @@ class TestSylCNNWidths:
         base = TrainConfig(variant="syl-cnn", d_s=50, cnn_max_width=3, d_lm=300,
                            budget=20_000_000, budget_tolerance=0.05)
         trials = propose_trials(base, trials=3, sizes=PAPER_SIZES, seed=0)
-        assert (trials[0].config.d_hw, trials[0].out_dim) == (1363, 1362)
+        assert (trials[0].config.d_hw, trials[0].out_dim) == (1010, 1008)
         for t in trials:
             assert t.out_dim == build_model(t.config, PAPER_SIZES).composer.out_dim
 
@@ -468,6 +468,41 @@ class TestRandomSearch:
             assert 19_000_000 <= t.param_count <= 21_000_000
             assert t.config.d_s < t.config.d_lm
 
+    BANDS = [(5_000_000, 0.10), (20_000_000, 0.05)]
+
+    @pytest.mark.parametrize("budget,tol", BANDS)
+    def test_d_lm_above_the_cap_cannot_fit(self, budget, tol):
+        # word-direct with d_w = 1 is the smallest composer a model can have
+        cap = d_lm_cap(TrainConfig(budget=budget, budget_tolerance=tol),
+                       PAPER_SIZES.vocab_size)
+        cfg = TrainConfig(variant="word-direct", d_w=1, d_lm=math.floor(cap) + 1)
+        assert count_parameters(build_model(cfg, PAPER_SIZES)) > budget * (1 + tol)
+
+    @pytest.mark.parametrize("budget,tol", BANDS)
+    @pytest.mark.parametrize("variant", ["word-direct", "syl-sum"])
+    def test_uncapped_search_accepts_nothing_above_the_cap(self, monkeypatch,
+                                                           budget, tol, variant):
+        import sublm.training as training_mod
+        monkeypatch.setattr(training_mod, "sample_dims", lambda rng, cap: sample_dims(rng))
+        base = TrainConfig(variant=variant, d_s=50, d_w=108, d_lm=300,
+                           budget=budget, budget_tolerance=tol)
+        cap = d_lm_cap(base, PAPER_SIZES.vocab_size)
+        trials = propose_trials(base, trials=3, sizes=PAPER_SIZES, seed=0)
+        assert len(trials) == 3
+        assert all(t.config.d_lm <= cap for t in trials)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_syl_cnn_fills_the_small_budget(self, seed):
+        base = TrainConfig(variant="syl-cnn", d_s=50, cnn_max_width=6, d_lm=300,
+                           budget=5_000_000, budget_tolerance=0.10)
+        assert len(propose_trials(base, trials=3, sizes=PAPER_SIZES, seed=seed)) == 3
+
+    def test_budget_below_the_d_lm_range_raises_before_drawing(self):
+        base = TrainConfig(variant="syl-sum", d_s=50, d_lm=300,
+                           budget=1_000_000, budget_tolerance=0.10)
+        with pytest.raises(ConfigError, match="d_lm"):
+            propose_trials(base, trials=2, sizes=PAPER_SIZES, seed=0)
+
     def test_impossible_budget_raises(self):
         base = TrainConfig(variant="syl-concat", d_s=50, d_hw=300, d_lm=300,
                            budget=1000, budget_tolerance=0.01)
@@ -478,7 +513,7 @@ class TestRandomSearch:
     def test_fewer_than_one_trial_raises(self, monkeypatch, trials):
         # every toy draw fits the wide band, so only the trial count can raise
         import sublm.training as training_mod
-        monkeypatch.setattr(training_mod, "sample_dims", lambda rng: (4, 8, 10))
+        monkeypatch.setattr(training_mod, "sample_dims", lambda rng, cap: (4, 8, 10))
         sizes = ModelSizes(vocab_size=20, subword_vocab_size=15, max_subwords=4)
         with pytest.raises(ConfigError):
             propose_trials(tiny_config(budget=5_000, budget_tolerance=0.99),
@@ -489,7 +524,7 @@ class TestRandomSearch:
         # (those are covered above) by sampling toy dimensions instead
         import sublm.training as training_mod
 
-        def toy_dims(rng):
+        def toy_dims(rng, cap):
             return (int(rng.integers(4, 10)), int(rng.integers(8, 16)),
                     int(rng.integers(10, 20)))
 
