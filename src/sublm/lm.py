@@ -117,7 +117,7 @@ class LanguageModel:
 
 
 def full_softmax_nll(logits: Tensor, targets: np.ndarray):
-    """Mean negative log-likelihood (natural log) plus the full distributions."""
+    """Mean negative log-likelihood (natural log) plus each row's NLL."""
     return T.softmax_xent(logits, targets)
 
 
@@ -256,14 +256,12 @@ def evaluate_stream(model: LanguageModel, stream: np.ndarray,
             x = model.embed_window(inputs, corpus)
             h, state = model.lm_forward(x, t, state, mode="eval")
             flat_targets = targets.T.reshape(-1)
-            loss, probs = full_softmax_nll(model.logits(h), flat_targets)
+            loss, nll = full_softmax_nll(model.logits(h), flat_targets)
             total_nll += loss.item() * t
             if collect_records:
-                target_probs = probs.data[np.arange(t), flat_targets]
                 base = count + 1
                 for j in range(t):
-                    records.append((base + j, int(flat_targets[j]),
-                                    float(target_probs[j])))
+                    records.append((base + j, int(flat_targets[j]), math.exp(-nll[j])))
             count += t
     return total_nll, count, records
 

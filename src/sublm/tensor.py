@@ -318,11 +318,13 @@ def dropout(x: Tensor, rate: float, mode: str = "train", rng=None) -> Tensor:
     return custom_op(x.data * scale, "dropout", (x,), lambda g_: (g_ * scale,))
 
 
-def softmax_xent(logits: Tensor, targets: np.ndarray) -> tuple[Tensor, Tensor]:
+def softmax_xent(logits: Tensor, targets: np.ndarray) -> tuple[Tensor, np.ndarray]:
     """Mean cross-entropy of integer targets under row-wise softmax.
 
-    Returns ``(loss, probs)``; ``probs`` is detached (rows sum to 1, max
-    subtracted for stability), only ``loss`` carries gradients.
+    Returns ``(loss, nll)``; ``nll`` is each row's NLL as a plain array
+    (max subtracted for stability), only ``loss`` carries gradients.  No
+    probability matrix is kept: the backward normalises the saved
+    exponentials.
     """
     lv = logits.data
     if lv.ndim != 2:
@@ -336,16 +338,15 @@ def softmax_xent(logits: Tensor, targets: np.ndarray) -> tuple[Tensor, Tensor]:
     zmax = lv.max(axis=1, keepdims=True)
     e = np.exp(lv - zmax)
     z = e.sum(axis=1, keepdims=True)
-    probs = e / z
     rows = np.arange(m)
     nll = np.log(z[:, 0]) + zmax[:, 0] - lv[rows, targets]
     def bw(g):
-        d = probs.copy()
+        d = e / z
         d[rows, targets] -= 1.0
         d *= g / m
         return (d,)
     loss = custom_op(np.asarray(nll.mean()), "softmax_xent", (logits,), bw)
-    return loss, Tensor(probs, dtype=probs.dtype)
+    return loss, nll
 
 
 class LSTMCellParams:

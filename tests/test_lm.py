@@ -219,6 +219,19 @@ class TestPerplexity:
         assert all(wid == stream[pos] for pos, wid, _ in records)
         assert all(0.0 < prob <= 1.0 for _, _, prob in records)
 
+    def test_record_probs_are_the_softmax_at_the_target(self, rng):
+        model = toy_model(rng)
+        corpus = toy_corpus(rng)
+        stream = rng.integers(0, W_VOCAB, size=23)
+        _, _, records = evaluate_stream(model, stream, corpus, steps=22,
+                                        collect_records=True)
+        x = model.embed_window(stream[None, :-1], corpus)
+        h, _ = model.lm_forward(x, 22, model.zero_state(1), mode="eval")
+        lv = model.logits(h).data
+        e = np.exp(lv - lv.max(axis=1, keepdims=True))
+        probs = (e / e.sum(axis=1, keepdims=True))[np.arange(22), stream[1:]]
+        assert np.abs(np.array([p for _, _, p in records]) / probs - 1.0).max() < 1e-12
+
     def test_timed_perplexity_reports_throughput(self, rng):
         model = toy_model(rng)
         corpus = toy_corpus(rng)

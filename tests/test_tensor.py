@@ -172,8 +172,8 @@ class TestHighway:
 
 class TestSoftmaxXent:
     def test_uniform(self):
-        loss, probs = T.softmax_xent(t(np.zeros((3, 10))), np.array([0, 4, 9]))
-        assert np.allclose(probs.data, 0.1)
+        loss, nll = T.softmax_xent(t(np.zeros((3, 10))), np.array([0, 4, 9]))
+        assert np.abs(nll - np.log(10)).max() < 1e-12
         assert abs(loss.item() - np.log(10)) < 1e-12
 
     def test_saturated(self):
@@ -181,9 +181,17 @@ class TestSoftmaxXent:
         assert loss.item() < 1e-6
 
     def test_rows_sum_to_one(self, rng):
-        logits = t(rng.normal(scale=5.0, size=(8, 40)))
-        _, probs = T.softmax_xent(logits, rng.integers(0, 40, size=8))
-        assert np.abs(probs.data.sum(axis=1) - 1.0).max() < 1e-12
+        # every class of every row as a target: nll against a log-sum-exp
+        # oracle, and exp(-nll) summed over a row's classes
+        lv = rng.normal(scale=5.0, size=(8, 40))
+        targets = np.tile(np.arange(40), 8)
+        loss, nll = T.softmax_xent(t(np.repeat(lv, 40, axis=0)), targets)
+        shift = lv.max(axis=1, keepdims=True)
+        lse = np.log(np.exp(lv - shift).sum(axis=1, keepdims=True)) + shift
+        oracle = (lse - lv).reshape(-1)
+        assert np.abs(nll - oracle).max() < 1e-12
+        assert abs(loss.item() - oracle.mean()) < 1e-12
+        assert np.abs(np.exp(-nll).reshape(8, 40).sum(axis=1) - 1.0).max() < 1e-12
 
     def test_target_out_of_range(self):
         with pytest.raises(IndexError):
