@@ -83,13 +83,15 @@ class LanguageModel:
         hidden-to-output connection in train mode; the returned state holds
         each layer's final (h, c) for carrying into the next window.
         """
+        if mode not in ("train", "eval"):
+            raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
         new_state = []
         layer_in = x
         for cell, (h, c) in zip(self.cells, state):
             layer_in, h, c = T.lstm(layer_in, h, c, cell, steps)
             new_state.append((h, c))
-            if mode == "train" and self.dropout_rate > 0:
-                layer_in = T.dropout(layer_in, self.dropout_rate, mode="train", rng=rng)
+            if mode == "train":
+                layer_in = T.dropout(layer_in, self.dropout_rate, rng)
         return layer_in, new_state
 
     def logits(self, h: Tensor) -> Tensor:

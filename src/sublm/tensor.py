@@ -299,20 +299,17 @@ def attention_pool(seq: Tensor, lengths: np.ndarray, bias: Tensor,
 # model-level operations
 
 
-def dropout(x: Tensor, rate: float, mode: str = "train", rng=None) -> Tensor:
-    """Inverted dropout: train-time mask scaled by 1/keep, eval is identity.
+def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
+    """Inverted (training-time) dropout: a mask from ``rng`` scaled by 1/keep.
 
-    Train mode draws the mask from ``rng``, which it requires; equal-seeded
-    rngs give bitwise-equal masks.
+    Equal-seeded rngs give bitwise-equal masks; rate 0 returns ``x``.
     """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    if mode not in ("train", "eval"):
-        raise ConfigError(f"dropout mode must be 'train' or 'eval', got {mode!r}")
-    if mode == "eval" or rate == 0.0:
+    if rate == 0.0:
         return x
     if rng is None:
-        raise ValueError("dropout in train mode needs an rng")
+        raise ValueError("dropout needs an rng")
     keep = 1.0 - rate
     scale = ((rng.random(x.data.shape) >= rate) / keep).astype(x.data.dtype, copy=False)
     return custom_op(x.data * scale, "dropout", (x,), lambda g_: (g_ * scale,))

@@ -96,6 +96,14 @@ class TestForward:
 
         assert node_count(3) == node_count(30)
 
+    @pytest.mark.parametrize("mode", ["Train", "test", ""])
+    def test_unknown_mode_is_a_config_error(self, rng, mode):
+        model = toy_model(rng, dropout=0.5)
+        ids = rng.integers(0, W_VOCAB, size=(2, 4))
+        with pytest.raises(ConfigError, match="mode"):
+            model.window_nll(ids, ids, toy_corpus(rng), model.zero_state(2),
+                             mode=mode, rng=np.random.default_rng(0))
+
     def test_eval_twice_is_bitwise(self, rng):
         model = toy_model(rng, dropout=0.5)
         corpus = toy_corpus(rng)
