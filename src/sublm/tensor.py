@@ -516,16 +516,6 @@ def conv1d_max_over_time(seq: Tensor, banks, lengths: np.ndarray) -> Tensor:
     return out
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """Logistic function, evaluated on each sign's branch without overflow."""
-    y = np.empty_like(z)
-    pos = z >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ex = np.exp(z[~pos])
-    y[~pos] = ex / (1.0 + ex)
-    return y
-
-
 def highway(x: Tensor, layers) -> Tensor:
     """A stack of highway layers (Srivastava et al.) over the rows of ``x``, as one op.
 
@@ -538,9 +528,12 @@ def highway(x: Tensor, layers) -> Tensor:
     y = x.data
     saved = []
     for w_t, b_t, w_h, b_h in layers:
-        z = y @ w_t.data
-        z += b_t.data
-        t = _sigmoid(z)
+        t = y @ w_t.data
+        t += b_t.data
+        t *= 0.5
+        np.tanh(t, out=t)
+        t += 1.0  # sigmoid(z) = (1 + tanh(z/2)) / 2, as in lstm
+        t *= 0.5
         z = y @ w_h.data
         z += b_h.data
         h = np.maximum(z, 0.0)
