@@ -333,13 +333,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_params)
 
-    p = sub.add_parser("tune", help="random search for d_s, d_hw and d_lm under "
-                       "the config's parameter budget")
+    p = sub.add_parser("tune", help="random search under the config's parameter budget")
     p.add_argument("--config", required=True)
-    p.add_argument("--budget", type=int, default=None,
-                   help="override the config's budget (parameters)")
-    p.add_argument("--tolerance", type=float, default=None,
-                   help="override the config's budget_tolerance (fraction)")
+    p.add_argument("--budget", type=int, help="override the config's budget")
+    p.add_argument("--tolerance", type=float, help="override its budget_tolerance")
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="", help="also write the ranked table here")

@@ -318,10 +318,8 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 def softmax_xent(logits: Tensor, targets: np.ndarray) -> tuple[Tensor, np.ndarray]:
     """Mean cross-entropy of integer targets under row-wise softmax.
 
-    Returns ``(loss, nll)``; ``nll`` is each row's NLL as a plain array
-    (max subtracted for stability), only ``loss`` carries gradients.  No
-    probability matrix is kept: the backward normalises the saved
-    exponentials.
+    Returns ``(loss, nll)``: ``nll`` is each row's detached NLL (max
+    subtracted for stability); only ``loss`` carries gradients.
     """
     lv = logits.data
     if lv.ndim != 2:

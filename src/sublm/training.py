@@ -239,12 +239,9 @@ D_LM_RANGE = (300, 2000)
 
 
 def d_lm_cap(config: TrainConfig, vocab_size: int) -> float:
-    """The largest d_lm that can fit ``config``'s budget band, plus 0.5.
-
-    Whatever the variant, the output layer and the two word-LSTM layers
-    hold at least d*V + V + 12d^2 + 8d parameters.  The 0.5 keeps the whole
-    rounding interval of every integer d_lm that fits.
-    """
+    """The largest d that keeps d*V + V + 12d^2 + 8d, the least any variant's
+    output and word-LSTM layers hold, inside ``config``'s budget band, plus
+    0.5 so every integer d_lm that fits keeps its whole rounding interval."""
     v, hi = vocab_size, config.budget * (1 + config.budget_tolerance)
     disc = (v + 8) ** 2 - 48 * (v - hi)
     return (math.sqrt(max(disc, 0.0)) - (v + 8)) / 24 + 0.5
@@ -256,9 +253,8 @@ def sample_dims(rng: np.random.Generator,
     with d_lm's range cut at ``d_lm_cap``."""
     d_lm_hi = min(D_LM_RANGE[1], d_lm_cap)
     if d_lm_hi < D_LM_RANGE[0]:
-        raise ConfigError(f"the budget fits no d_lm in the search range {D_LM_RANGE}: "
-                          f"the output and word-LSTM layers alone need d_lm < "
-                          f"{d_lm_cap:.0f}")
+        raise ConfigError(f"the budget fits no d_lm in the search range {D_LM_RANGE}, "
+                          f"only d_lm < {d_lm_cap:.0f}")
     d_s = int(round(rng.uniform(*D_S_RANGE)))
     d_hw = int(round(math.exp(rng.uniform(*map(math.log, D_HW_RANGE)))))
     d_lm = int(round(math.exp(rng.uniform(math.log(D_LM_RANGE[0]), math.log(d_lm_hi)))))
@@ -267,9 +263,8 @@ def sample_dims(rng: np.random.Generator,
 
 @dataclass
 class Trial:
-    """One accepted draw: the config it trains (drawn dimensions, derived
-    seed, budget), its model's parameter count and composer output width,
-    and its validation PPL once trained."""
+    """An accepted config (drawn dimensions, derived seed, budget), its model's
+    size and composer output width, and its validation PPL once trained."""
 
     config: TrainConfig
     param_count: int
@@ -279,15 +274,11 @@ class Trial:
 
 def propose_trials(base: TrainConfig, trials: int, sizes: ModelSizes, seed: int,
                    max_draws: int | None = None) -> list[Trial]:
-    """Rejection-sample dimension draws until ``trials`` fit ``base``'s budget.
+    """Rejection-sample draws with d_s < d_lm until ``trials`` fit ``base``'s budget.
 
-    d_lm is drawn only up to :func:`d_lm_cap`, a superset of the values that
-    can fit, so the accepted draws follow the same law as with the full
-    range.  Draws violating d_s < d_lm or the band ``base.budget`` +/-
-    ``base.budget_tolerance`` are rejected.  Raises before drawing when
-    ``trials`` < 1 or the base has no positive budget, at the first draw
-    when the base itself cannot build, and when the draw allowance is
-    exhausted with nothing accepted.
+    d_lm is drawn below :func:`d_lm_cap` only, which leaves the law of the
+    accepted draws unchanged.  Raises ConfigError for a base that cannot
+    build, no positive budget, ``trials`` < 1, or no draw accepted.
     """
     if trials < 1:
         raise ConfigError(f"random search needs at least 1 trial, got {trials}")

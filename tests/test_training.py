@@ -504,9 +504,10 @@ class TestRandomSearch:
             propose_trials(base, trials=2, sizes=PAPER_SIZES, seed=0)
 
     def test_impossible_budget_raises(self):
+        # d_lm up to 309 passes the cap, but no syl-concat composer fits beside it
         base = TrainConfig(variant="syl-concat", d_s=50, d_hw=300, d_lm=300,
-                           budget=1000, budget_tolerance=0.01)
-        with pytest.raises(ConfigError):
+                           budget=4_200_000, budget_tolerance=0.01)
+        with pytest.raises(ConfigError, match="no configuration"):
             propose_trials(base, trials=2, sizes=PAPER_SIZES, seed=0, max_draws=200)
 
     @pytest.mark.parametrize("trials", [0, -1])
