@@ -51,6 +51,15 @@ def _read(path: str) -> str:
 
 def make_segmenter(mode: str, patterns_path: str = "", exceptions_path: str = "",
                    overrides_path: str = "") -> Segmenter:
+    """A path the mode would not read is a ConfigError, raised before any read."""
+    if overrides_path and mode != "external":
+        raise ConfigError(f"--overrides (config key 'overrides') is not read in {mode} mode")
+    if mode == "chars" and (patterns_path or exceptions_path):
+        key = "patterns" if patterns_path else "exceptions"
+        raise ConfigError(f"--{key} (config key '{key}') is not read in chars mode")
+    if exceptions_path and not patterns_path:
+        raise ConfigError("--exceptions (config key 'exceptions') is not read without "
+                          "--patterns (config key 'patterns')")
     patterns = None
     overrides = None
     if mode in ("liang", "external"):

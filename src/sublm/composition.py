@@ -171,9 +171,9 @@ class SylLSTM(Composer):
     def __init__(self, config, vocab_size, subword_vocab_size, init):
         super().__init__(config)
         self.e_s = Tensor(init((subword_vocab_size, config.d_s)))
-        self.cell = T.LSTMCellParams.create(config.d_s, config.d_w, init)
+        self.cell = T.lstm_params(config.d_s, config.d_w, init)
         self.params["e_s"] = self.e_s
-        self.params.update({f"cell.{k}": v for k, v in self.cell.tensors().items()})
+        self.params.update(zip(("cell.wx", "cell.wh", "cell.b"), self.cell))
 
     def __call__(self, word_ids, rows, lengths):
         lengths = np.asarray(lengths)

@@ -81,6 +81,8 @@ class TrainConfig:
                 raise ConfigError(f"{key} must be positive")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must be in [0, 1)")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

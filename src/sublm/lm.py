@@ -35,16 +35,14 @@ class LanguageModel:
         self.d_lm = d_lm
         self.vocab_size = vocab_size
         self.dropout_rate = dropout_rate
-        self.cells = [
-            T.LSTMCellParams.create(composer.out_dim, d_lm, init),
-            T.LSTMCellParams.create(d_lm, d_lm, init),
-        ]
+        self.cells = [T.lstm_params(composer.out_dim, d_lm, init),
+                      T.lstm_params(d_lm, d_lm, init)]
         self.w_out = Tensor(init((d_lm, vocab_size)))
         self.b_out = Tensor(init((vocab_size,)))
         self.params: dict[str, Tensor] = {}
         self.params.update({f"composer.{k}": v for k, v in composer.params.items()})
         for i, cell in enumerate(self.cells):
-            self.params.update({f"lm.l{i}.{k}": v for k, v in cell.tensors().items()})
+            self.params.update(zip((f"lm.l{i}.wx", f"lm.l{i}.wh", f"lm.l{i}.b"), cell))
         self.params["lm.w_out"] = self.w_out
         self.params["lm.b_out"] = self.b_out
 
@@ -79,19 +77,18 @@ class LanguageModel:
                    mode: str = "eval", rng=None) -> tuple[Tensor, list]:
         """Run the stacked LSTM over a time-major flat window.
 
-        Output is (steps*batch, d_lm) with dropout already applied to the
-        hidden-to-output connection in train mode; the returned state holds
+        Output is (steps*batch, d_lm).  In train mode each layer's ``lstm`` op
+        drops out its outputs, not its recurrence; the returned state holds
         each layer's final (h, c) for carrying into the next window.
         """
         if mode not in ("train", "eval"):
             raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
+        rate = self.dropout_rate if mode == "train" else 0.0
         new_state = []
         layer_in = x
         for cell, (h, c) in zip(self.cells, state):
-            layer_in, h, c = T.lstm(layer_in, h, c, cell, steps)
+            layer_in, h, c = T.lstm(layer_in, h, c, cell, steps, dropout=rate, rng=rng)
             new_state.append((h, c))
-            if mode == "train":
-                layer_in = T.dropout(layer_in, self.dropout_rate, rng)
         return layer_in, new_state
 
     def logits(self, h: Tensor) -> Tensor:

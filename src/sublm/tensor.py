@@ -5,17 +5,17 @@ inputs together with a backward rule.  ``backward(loss)`` walks the recording
 in reverse topological order and accumulates gradients into the ``.grad`` of
 the leaf tensors it reaches (parameters, inputs); interior nodes keep none.
 Repeated calls accumulate additively until grads are cleared.  A whole LSTM
-layer over a window is one recorded op (:func:`lstm`) with its own
-backpropagation through time, so a window's recording does not grow with
-its length.  It also runs packed variable-length sequences (a subword
-LSTM's words, longest first, each step over the words still running), so no
-step is spent on padding.  Likewise all of a CNN composer's convolution
-banks, with their tanh and max-over-time pooling, are one op
-(:func:`conv1d_max_over_time`), and so is a whole highway stack, gates and
-all (:func:`highway`).  Syl-Concat's zero-padded subword concatenation is
-one op (:func:`masked_concat`), and so is the learned attention of
-Syl-Avg-A/B, scores, masked softmax and weighted sum together
-(:func:`attention_pool`).
+layer over a window is one recorded op (:func:`lstm`), with its own
+backpropagation through time and dropout on its outputs, so a window's
+recording does not grow with its length.  It also runs packed
+variable-length sequences (a subword LSTM's words, longest first, each step
+over the words still running), so no step is spent on padding.  Likewise
+all of a CNN composer's convolution banks, with their tanh and max-over-time
+pooling, are one op (:func:`conv1d_max_over_time`), and so is a whole
+highway stack, gates and all (:func:`highway`).  Syl-Concat's zero-padded
+subword concatenation is one op (:func:`masked_concat`), and so is the
+learned attention of Syl-Avg-A/B, scores, masked softmax and weighted sum
+together (:func:`attention_pool`).
 
 Default precision is 64-bit; 32-bit is opt-in per tensor.  Reductions run in
 a fixed order, so results are bitwise reproducible for a fixed BLAS thread
@@ -299,22 +299,6 @@ def attention_pool(seq: Tensor, lengths: np.ndarray, bias: Tensor,
 # model-level operations
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted (training-time) dropout: a mask from ``rng`` scaled by 1/keep.
-
-    Equal-seeded rngs give bitwise-equal masks; rate 0 returns ``x``.
-    """
-    if not 0.0 <= rate < 1.0:
-        raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    if rate == 0.0:
-        return x
-    if rng is None:
-        raise ValueError("dropout needs an rng")
-    keep = 1.0 - rate
-    scale = ((rng.random(x.data.shape) >= rate) / keep).astype(x.data.dtype, copy=False)
-    return custom_op(x.data * scale, "dropout", (x,), lambda g_: (g_ * scale,))
-
-
 def softmax_xent(logits: Tensor, targets: np.ndarray) -> tuple[Tensor, np.ndarray]:
     """Mean cross-entropy of integer targets under row-wise softmax.
 
@@ -344,32 +328,20 @@ def softmax_xent(logits: Tensor, targets: np.ndarray) -> tuple[Tensor, np.ndarra
     return loss, nll
 
 
-class LSTMCellParams:
-    """Gate parameters of one LSTM cell, fused as (i, f, o, g) blocks."""
+def lstm_params(input_dim: int, hidden_dim: int, init) -> tuple[Tensor, Tensor, Tensor]:
+    """A cell's ``(wx, wh, b)`` from ``init(shape)``, whatever its dtype.
 
-    def __init__(self, wx: Tensor, wh: Tensor, b: Tensor):
-        self.wx = wx  # (input_dim, 4*hidden)
-        self.wh = wh  # (hidden, 4*hidden)
-        self.b = b    # (4*hidden,)
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.wh.data.shape[0]
-
-    def tensors(self) -> dict[str, Tensor]:
-        return {"wx": self.wx, "wh": self.wh, "b": self.b}
-
-    @staticmethod
-    def create(input_dim: int, hidden_dim: int, init) -> "LSTMCellParams":
-        """A cell from ``init(shape)``, whatever its dtype; forget biases are 1."""
-        b = init((4 * hidden_dim,))
-        b[hidden_dim:2 * hidden_dim] = 1.0
-        return LSTMCellParams(Tensor(init((input_dim, 4 * hidden_dim))),
-                              Tensor(init((hidden_dim, 4 * hidden_dim))), Tensor(b))
+    The gates are fused as (i, f, o, g) blocks of ``hidden_dim`` columns;
+    the forget biases are 1.
+    """
+    b = init((4 * hidden_dim,))
+    b[hidden_dim:2 * hidden_dim] = 1.0
+    return (Tensor(init((input_dim, 4 * hidden_dim))),
+            Tensor(init((hidden_dim, 4 * hidden_dim))), Tensor(b))
 
 
-def lstm(x: Tensor, h0: np.ndarray, c0: np.ndarray, params: LSTMCellParams,
-         steps: int, counts: np.ndarray | None = None):
+def lstm(x: Tensor, h0: np.ndarray, c0: np.ndarray, params, steps: int,
+         counts: np.ndarray | None = None, dropout: float = 0.0, rng=None):
     """A standard 4-gate LSTM (no peepholes) over a whole window, as one op.
 
     Each step computes c = sigmoid(f)*c_prev + sigmoid(i)*tanh(g) and
@@ -381,14 +353,22 @@ def lstm(x: Tensor, h0: np.ndarray, c0: np.ndarray, params: LSTMCellParams,
     ``pack_padded_sequence``: lanes are sorted longest first, step k holds
     lanes 0..counts[k]-1 only, and ``x`` holds the live rows alone, step
     after step.  The input projection, the recurrence and its backward then
-    touch live rows only.
+    touch live rows only.  ``params`` is the cell's ``(wx, wh, b)``.
+
+    With ``dropout`` > 0, inverted dropout with a mask from ``rng`` applies to
+    the outputs alone, never to the recurrence or the returned state.
 
     Returns ``(out, h, c)``: the outputs, one row per row of ``x``, as one
     recorded tensor, and each lane's last live h and c as plain arrays, so
     no gradient flows into the starting state.
     """
-    xv, wx, wh = x.data, params.wx.data, params.wh.data
-    d = params.hidden_dim
+    if not 0.0 <= dropout < 1.0:
+        raise ConfigError(f"dropout rate must be in [0, 1), got {dropout}")
+    if dropout > 0.0 and rng is None:
+        raise ValueError("dropout needs an rng")
+    xv = x.data
+    wx, wh, b = (p.data for p in params)
+    d = wh.shape[0]
     total = xv.shape[0]
     counts = np.full(steps, total // steps) if counts is None else np.asarray(counts)
     if xv.ndim != 2 or xv.shape[1] != wx.shape[0] or counts.shape != (steps,) \
@@ -410,7 +390,7 @@ def lstm(x: Tensor, h0: np.ndarray, c0: np.ndarray, params: LSTMCellParams,
     # all live rows' input projections in one GEMM; each step then adds
     # h_prev @ wh and activates in place, so ``gates`` ends up holding i, f, o, g
     gates = xv @ wx
-    gates += params.b.data
+    gates += b
     hs = np.empty((batch + total, d), dtype=gates.dtype)
     cs = np.empty_like(hs)
     hs[:batch], cs[:batch] = h0, c0
@@ -426,8 +406,15 @@ def lstm(x: Tensor, h0: np.ndarray, c0: np.ndarray, params: LSTMCellParams,
         c = f * cs[p:p + hi - lo] + i * g
         hs[batch + lo:batch + hi] = o * np.tanh(c)
         cs[batch + lo:batch + hi] = c
+    out = hs[batch:]
+    if dropout > 0.0:
+        mask = rng.random(out.shape) >= dropout
+        scale = (mask / (1.0 - dropout)).astype(out.dtype, copy=False)
+        out = out * scale
 
     def bw(g_out):
+        if dropout > 0.0:
+            g_out = g_out * scale
         dz = np.empty_like(gates)
         # lanes beyond a step's count have no later steps, so their entries
         # are still zero when the backward walk reaches their last step
@@ -450,7 +437,7 @@ def lstm(x: Tensor, h0: np.ndarray, c0: np.ndarray, params: LSTMCellParams,
         h_prev = hs[np.concatenate([np.arange(p, p + n) for p, n in zip(prev, counts)])]
         return (dz @ wx.T, xv.T @ dz, h_prev.T @ dz, dz.sum(axis=0))
 
-    out = custom_op(hs[batch:], "lstm", (x, params.wx, params.wh, params.b), bw)
+    out = custom_op(out, "lstm", (x, *params), bw)
     # lane j is live for the steps whose count exceeds j
     lengths = (counts[:, None] > np.arange(batch)).sum(axis=0)
     last = batch + offs[lengths - 1] + np.arange(batch)

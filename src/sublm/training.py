@@ -278,10 +278,13 @@ def propose_trials(base: TrainConfig, trials: int, sizes: ModelSizes, seed: int,
 
     d_lm is drawn below :func:`d_lm_cap` only, which leaves the law of the
     accepted draws unchanged.  Raises ConfigError for a base that cannot
-    build, no positive budget, ``trials`` < 1, or no draw accepted.
+    build, no positive budget, ``trials`` < 1, a negative ``seed``, or no
+    draw accepted.
     """
     if trials < 1:
         raise ConfigError(f"random search needs at least 1 trial, got {trials}")
+    if seed < 0:
+        raise ConfigError(f"random search needs a non-negative seed, got {seed}")
     if base.budget <= 0:
         raise ConfigError(f"random search needs a positive budget, got {base.budget}")
     cap = d_lm_cap(base, sizes.vocab_size)

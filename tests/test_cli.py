@@ -62,6 +62,52 @@ class TestSyllabify:
         assert run(["syllabify", "--patterns", "/does/not/exist.pat"]) == 3
 
 
+class TestUnusedSegmentationFlags:
+    """A segmentation path the mode would ignore exits 4 before any file is read."""
+
+    @pytest.fixture()
+    def reads(self, monkeypatch):
+        calls = []
+        read = cli._read
+        monkeypatch.setattr(cli, "_read", lambda path: calls.append(path) or read(path))
+        return calls
+
+    @pytest.mark.parametrize("flags,key", [
+        (["--mode", "liang", "--overrides", "OVERRIDES"], "overrides"),
+        (["--mode", "chars", "--overrides", "OVERRIDES"], "overrides"),
+        (["--mode", "chars", "--patterns", "/does/not/exist.pat"], "patterns"),
+        (["--mode", "chars", "--exceptions", "/does/not/exist.exc"], "exceptions"),
+        (["--mode", "liang", "--exceptions", "/does/not/exist.exc"], "exceptions"),
+        (["--mode", "external", "--overrides", "OVERRIDES",
+          "--exceptions", "/does/not/exist.exc"], "exceptions"),
+    ], ids=["overrides-in-liang", "overrides-in-chars", "patterns-in-chars",
+            "exceptions-in-chars", "exceptions-without-patterns",
+            "exceptions-without-patterns-external"])
+    def test_syllabify_exits_4(self, tmp_path, capsys, monkeypatch, reads, flags, key):
+        overrides = tmp_path / "seg.tsv"
+        overrides.write_text("table\tt able\n")
+        monkeypatch.setattr(sys, "stdin", io.StringIO("table\n"))
+        argv = ["syllabify"] + [str(overrides) if f == "OVERRIDES" else f for f in flags]
+        assert run(argv) == 4
+        errors = error_lines(capsys)
+        assert errors and f"--{key}" in errors[0] and f"'{key}'" in errors[0]
+        assert not reads
+
+    def test_build_vocab_exits_4(self, tmp_path, rng, capsys, reads):
+        train_f, _ = write_demo_corpus(tmp_path, rng)
+        assert run(["build-vocab", "--corpus", str(train_f), "--mode", "chars",
+                    "--patterns", "/does/not/exist.pat", "--out", str(tmp_path / "v")]) == 4
+        assert "--patterns" in error_lines(capsys)[0]
+        assert not reads and not (tmp_path / "v").exists()
+
+    def test_config_key_exits_4(self, tmp_path, rng, capsys, reads):
+        train_f, valid_f = write_demo_corpus(tmp_path, rng)
+        cfg = write_demo_config(tmp_path, train_f, valid_f, exceptions="/does/not/exist.exc")
+        assert run(["params", "--config", str(cfg)]) == 4
+        assert "'exceptions'" in error_lines(capsys)[0]
+        assert not reads
+
+
 class TestParams:
     def test_shipped_5m_config(self, capsys):
         cfg = os.path.join(REPO, "configs", "syl-concat-5m.cfg")
@@ -421,6 +467,15 @@ class TestTuneBudget:
         assert errors and "budget" in errors[0]
         assert not draws
 
+    def test_negative_seed_exits_4_before_any_draw(self, tmp_path, rng, capsys, draws):
+        train_f, valid_f = write_demo_corpus(tmp_path, rng, sentences=40)
+        cfg = write_demo_config(tmp_path, train_f, valid_f, max_epochs=1,
+                                budget=2500, budget_tolerance=0.3)
+        assert run(["tune", "--config", str(cfg), "--seed", "-1", "--trials", "2"]) == 4
+        errors = error_lines(capsys)
+        assert errors and "seed" in errors[0]
+        assert not draws
+
     def test_base_config_error_is_reported_as_itself(self, tmp_path, rng, capsys):
         # syl-lstm needs d_w, which the search does not draw
         train_f, valid_f = write_demo_corpus(tmp_path, rng, sentences=40)
@@ -430,6 +485,26 @@ class TestTuneBudget:
                     "--trials", "2"]) == 4
         errors = error_lines(capsys)
         assert errors and "d_w" in errors[0]
+
+
+class TestNegativeSeed:
+    def test_train_flag_exits_4(self, tmp_path, rng, capsys):
+        train_f, valid_f = write_demo_corpus(tmp_path, rng, sentences=40)
+        cfg = write_demo_config(tmp_path, train_f, valid_f)
+        ckpt = tmp_path / "model.ckpt"
+        assert run(["train", "--config", str(cfg), "--out", str(ckpt), "--seed", "-1"]) == 4
+        errors = error_lines(capsys)
+        assert errors and "seed" in errors[0]
+        assert not ckpt.exists()
+
+    def test_config_key_exits_4(self, tmp_path, rng, capsys):
+        train_f, valid_f = write_demo_corpus(tmp_path, rng, sentences=40)
+        cfg = write_demo_config(tmp_path, train_f, valid_f, seed=-2)
+        ckpt = tmp_path / "model.ckpt"
+        assert run(["train", "--config", str(cfg), "--out", str(ckpt)]) == 4
+        errors = error_lines(capsys)
+        assert errors and "seed" in errors[0]
+        assert not ckpt.exists()
 
 
 class TestDivergence:

@@ -133,14 +133,14 @@ class TestSylLSTM:
         out = comp(np.array([0]), rows, lengths)
         zeros = np.zeros((1, comp.config.d_w))
         h, _ = lstm_step(comp.e_s.data[[3]], zeros, zeros,
-                         *(p.data for p in comp.cell.tensors().values()))
+                         *(p.data for p in comp.cell))
         assert np.abs(out.data - h).max() < 1e-12
 
     def test_each_word_matches_reference_over_its_subwords(self, rng):
         comp = make("syl-lstm", rng)
         _, rows, lengths = random_batch(rng, m=6)
         out = comp(None, rows, lengths).data
-        weights = [p.data for p in comp.cell.tensors().values()]
+        weights = [p.data for p in comp.cell]
         for i, L in enumerate(lengths):
             zeros = np.zeros((1, comp.config.d_w))
             seq = comp.e_s.data[rows[i, :L]][:, None, :]

@@ -52,7 +52,7 @@ def test_packed_lstm_edge_cases(case, rng):
     check_lstm_grads(rng, max(lengths), 3, np.array(lengths))
 
 
-def check_lstm_grads(rng, steps, b, lengths):
+def check_lstm_grads(rng, steps, b, lengths, dropout=0.0):
     """Central differences of a weighted sum of the op's outputs; lanes are
     packed longest first when ``lengths`` is given."""
     p, d = 3, 4
@@ -65,13 +65,15 @@ def check_lstm_grads(rng, steps, b, lengths):
         "b": t(rng, 4 * d, scale=0.5),
         "x": t(rng, rows, p),
     }
-    cell = T.LSTMCellParams(params["wx"], params["wh"], params["b"])
+    cell = (params["wx"], params["wh"], params["b"])
     h0, c0 = rng.normal(scale=0.5, size=(b, d)), rng.normal(scale=0.5, size=(b, d))
     counts = None if lengths is None else live.sum(axis=1)
     weights = rng.normal(size=(rows, d))
 
     def loss():
-        out, _, _ = T.lstm(params["x"], h0, c0, cell, steps, counts)
+        # fresh rng with the same seed per evaluation fixes the dropout mask
+        out, _, _ = T.lstm(params["x"], h0, c0, cell, steps, counts, dropout=dropout,
+                           rng=np.random.default_rng(99))
         return scalar_loss(out, weights)
 
     check_grads(loss, params)
@@ -138,14 +140,10 @@ def test_softmax_xent(seed):
 
 @pytest.mark.parametrize("seed", SEEDS[:5])
 def test_dropout_with_fixed_mask(seed):
+    # the lstm op's output dropout, with every lane live and with packed lanes
     rng = np.random.default_rng(seed)
-    x = t(rng, 6, 5)
-
-    def loss():
-        # fresh rng with the same seed per evaluation fixes the mask
-        return scalar_loss(T.dropout(x, 0.4, np.random.default_rng(99)))
-
-    check_grads(loss, {"x": x})
+    for lengths in (None, np.array([3, 2, 1])):
+        check_lstm_grads(rng, 3, 3, lengths, dropout=0.4)
 
 
 @pytest.mark.parametrize("seed", SEEDS[:10])
@@ -218,7 +216,6 @@ FD_TESTS = {
     "affine": "test_gradients::test_affine_wrt_all_inputs",
     "attention_pool": "test_gradients::test_lookup_and_masked_ops",
     "conv1d_max_over_time": "test_gradients::test_conv1d_max_over_time",
-    "dropout": "test_gradients::test_dropout_with_fixed_mask",
     "highway": "test_gradients::test_highway",
     "lookup": "test_gradients::test_lookup_and_masked_ops",
     "lstm": "test_gradients::test_lstm_cell_wrt_all_params",

@@ -44,6 +44,17 @@ def toy_model(rng=None, d_lm=5, dropout=0.0, variant="syl-sum"):
                          dropout_rate=dropout, init=init)
 
 
+def recorded_nodes(loss):
+    """The number of recorded nodes behind ``loss``."""
+    seen, stack = set(), [loss]
+    while stack:
+        node = stack.pop()
+        if node._backward is not None and node.node_id not in seen:
+            seen.add(node.node_id)
+            stack.extend(node._parents)
+    return len(seen)
+
+
 class TestForward:
     def test_single_step_equals_stacked_cells(self, rng):
         model = toy_model(rng)
@@ -54,7 +65,7 @@ class TestForward:
         h, _ = model.lm_forward(x, 1, state, mode="eval")
         seq = x.data
         for cell, (h0, c0) in zip(model.cells, state):
-            seq, _ = lstm_step(seq, h0, c0, *(p.data for p in cell.tensors().values()))
+            seq, _ = lstm_step(seq, h0, c0, *(p.data for p in cell))
         assert np.abs(h.data - seq).max() < 1e-12
 
     def test_window_matches_reference_cells(self, rng):
@@ -68,7 +79,7 @@ class TestForward:
         seq = x.data.reshape(5, 2, -1)
         for li, (cell, (h0, c0)) in enumerate(zip(model.cells, state)):
             seq, h_ref, c_ref = lstm_steps(seq, h0, c0,
-                                           *(p.data for p in cell.tensors().values()))
+                                           *(p.data for p in cell))
             assert np.abs(new_state[li][0] - h_ref).max() < 1e-12
             assert np.abs(new_state[li][1] - c_ref).max() < 1e-12
         assert np.abs(h.data - seq.reshape(10, -1)).max() < 1e-12
@@ -86,13 +97,7 @@ class TestForward:
             ids = rng.integers(0, W_VOCAB, size=(2, steps))
             loss, _ = model.window_nll(ids, ids, corpus, model.zero_state(2),
                                        mode="train", rng=np.random.default_rng(0))
-            seen, stack = set(), [loss]
-            while stack:
-                node = stack.pop()
-                if node._backward is not None and node.node_id not in seen:
-                    seen.add(node.node_id)
-                    stack.extend(node._parents)
-            return len(seen)
+            return recorded_nodes(loss)
 
         assert node_count(3) == node_count(30)
 
@@ -189,6 +194,27 @@ def test_embed_window_composes_each_distinct_word_once(variant, rng, monkeypatch
     assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
     for name, g in ref_grads.items():
         assert np.abs(grads[name] - g).max() <= 1e-12 * np.abs(g).max(), name
+
+
+@pytest.mark.parametrize("variant", list(EMBED_DIMS))
+def test_train_window_records_the_nodes_of_an_eval_window(variant, rng):
+    # dropout lives inside each lstm op; the sampled softmax is one op where
+    # the full one is an affine map and softmax_xent
+    init = uniform_init(rng, 0.3)
+    comp = build_composer(CompositionConfig(variant=variant, n=N, **EMBED_DIMS[variant]),
+                          W_VOCAB, S_VOCAB, init=init)
+    model = LanguageModel(comp, d_lm=5, vocab_size=W_VOCAB, dropout_rate=0.5, init=init)
+    corpus = toy_corpus(rng)
+    ids = rng.integers(0, W_VOCAB, size=(2, 4))
+
+    def nodes(mode, **sampled):
+        loss, _ = model.window_nll(ids, ids, corpus, model.zero_state(2), mode=mode,
+                                   rng=np.random.default_rng(0), **sampled)
+        return recorded_nodes(loss)
+
+    sampled = dict(sampler=UniformSampler(W_VOCAB), sample_count=3)
+    assert nodes("train") == nodes("eval")
+    assert nodes("train", **sampled) == nodes("eval") - 1
 
 
 class TestPerplexity:

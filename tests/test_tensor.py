@@ -47,7 +47,7 @@ class TestLstmCell:
             wx, wh, b = np.zeros((p, 4 * d)), np.zeros((d, 4 * d)), np.zeros(4 * d)
             if case == "saturated-forget":
                 b[d:2 * d] = 20.0
-        return T.LSTMCellParams(t(wx), t(wh), t(b))
+        return t(wx), t(wh), t(b)
 
     def _run(self, rng, case, packed, steps=4, batch=3, p=3, d=4):
         params = self._params(rng, p, d, case)
@@ -62,8 +62,7 @@ class TestLstmCell:
         else:
             lengths, live = None, np.ones((steps, batch), dtype=bool)
             out, h, c = T.lstm(t(xs.reshape(steps * batch, p)), h0, c0, params, steps)
-        ref_out, ref_h, ref_c = lstm_steps(xs, h0, c0, params.wx.data, params.wh.data,
-                                           params.b.data, lengths)
+        ref_out, ref_h, ref_c = lstm_steps(xs, h0, c0, *(w.data for w in params), lengths)
         return (out, h, c), (ref_out[live], ref_h, ref_c), (h0, c0)
 
     @pytest.mark.parametrize("packed", [False, True])
@@ -109,6 +108,58 @@ class TestLstmCell:
         with pytest.raises(DimensionError):  # the counts cover 3 rows, x has 4
             T.lstm(t(np.zeros((4, 3))), np.zeros((2, 4)), np.zeros((2, 4)), params, 2,
                    np.array([2, 1]))
+
+    def _dropout_instance(self, rng, batch=3, p=3, d=4):
+        """A two-step random instance: (x, h0, c0, params)."""
+        return (t(rng.normal(size=(2 * batch, p))), rng.normal(size=(batch, d)),
+                rng.normal(size=(batch, d)), self._params(rng, p, d, "random"))
+
+    def test_dropout_rate_zero_unchanged(self, rng):
+        x, h0, c0, params = self._dropout_instance(rng)
+        plain = T.lstm(x, h0, c0, params, 2)
+        draws = np.random.default_rng(5)
+        before = draws.bit_generator.state
+        out, h, c = T.lstm(x, h0, c0, params, 2, dropout=0.0, rng=draws)
+        assert np.array_equal(out.data, plain[0].data)
+        assert np.array_equal(h, plain[1]) and np.array_equal(c, plain[2])
+        assert draws.bit_generator.state == before
+
+    def test_dropout_keep_fraction(self, rng):
+        x, h0, c0, params = self._dropout_instance(rng, batch=2500, d=20)
+        plain = T.lstm(x, h0, c0, params, 2)[0].data
+        out = T.lstm(x, h0, c0, params, 2, dropout=0.5, rng=np.random.default_rng(7))[0].data
+        ratio = out / plain
+        kept = np.count_nonzero(ratio) / ratio.size
+        assert abs(kept - 0.5) < 0.01
+        # inverted scaling preserves the expectation
+        assert np.all((ratio == 0.0) | (np.abs(ratio - 2.0) < 1e-12))
+        assert abs(ratio.mean() - 1.0) < 0.02
+
+    def test_dropout_bad_rate(self, rng):
+        x, h0, c0, params = self._dropout_instance(rng)
+        for rate in (1.0, -0.1):
+            with pytest.raises(ConfigError):
+                T.lstm(x, h0, c0, params, 2, dropout=rate, rng=np.random.default_rng(0))
+
+    def test_dropout_needs_an_rng(self, rng):
+        x, h0, c0, params = self._dropout_instance(rng)
+        with pytest.raises(ValueError, match="rng"):
+            T.lstm(x, h0, c0, params, 2, dropout=0.5)
+
+    def test_dropout_equal_seeded_rngs_give_bitwise_equal_outputs(self, rng):
+        x, h0, c0, params = self._dropout_instance(rng, batch=6, d=6)
+        y1, y2 = (T.lstm(x, h0, c0, params, 2, dropout=0.5,
+                         rng=np.random.default_rng(123))[0].data for _ in range(2))
+        assert np.array_equal(y1, y2)
+        assert np.count_nonzero(y1 == 0.0) > 0
+
+    def test_dropout_drops_the_outputs_not_the_state(self, rng):
+        x, h0, c0, params = self._dropout_instance(rng)
+        plain, h_plain, c_plain = T.lstm(x, h0, c0, params, 2)
+        out, h, c = T.lstm(x, h0, c0, params, 2, dropout=0.3, rng=np.random.default_rng(9))
+        assert np.array_equal(h, h_plain) and np.array_equal(c, c_plain)
+        mask = np.random.default_rng(9).random(plain.shape) >= 0.3
+        assert np.array_equal(out.data, plain.data * (mask / (1.0 - 0.3)))
 
 
 class TestConvMaxOverTime:
@@ -196,38 +247,6 @@ class TestSoftmaxXent:
     def test_target_out_of_range(self):
         with pytest.raises(IndexError):
             T.softmax_xent(t(np.zeros((2, 5))), np.array([0, 5]))
-
-
-class TestDropout:
-    def test_rate_zero_unchanged(self, rng):
-        x = t(rng.normal(size=(4, 5)))
-        y = T.dropout(x, 0.0, rng)
-        assert np.array_equal(y.data, x.data)
-
-    def test_keep_fraction(self):
-        x = t(np.ones(100_000))
-        y = T.dropout(x, 0.5, np.random.default_rng(7))
-        kept = np.count_nonzero(y.data) / y.data.size
-        assert abs(kept - 0.5) < 0.01
-        # inverted scaling preserves the expectation
-        assert abs(y.data.mean() - 1.0) < 0.02
-
-    def test_bad_rate(self):
-        with pytest.raises(ConfigError):
-            T.dropout(t(np.ones(3)), 1.0, np.random.default_rng(0))
-        with pytest.raises(ConfigError):
-            T.dropout(t(np.ones(3)), -0.1, np.random.default_rng(0))
-
-    def test_train_mode_needs_an_rng(self, rng):
-        with pytest.raises(ValueError, match="rng"):
-            T.dropout(t(rng.normal(size=(2, 3))), 0.5, None)
-
-    def test_equal_seeded_rngs_give_bitwise_equal_masks(self, rng):
-        x = t(rng.normal(size=(6, 6)))
-        y1 = T.dropout(x, 0.5, np.random.default_rng(123))
-        y2 = T.dropout(x, 0.5, np.random.default_rng(123))
-        assert np.array_equal(y1.data, y2.data)
-        assert np.count_nonzero(y1.data == 0.0) > 0
 
 
 class TestBackward:
