@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import logging
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .corpus import EncodedCorpus, Vocabularies
-from .lm import LanguageModel, timed_perplexity
+from .lm import LanguageModel, _ppl, evaluate_stream
 from .training import count_parameters
 
 log = logging.getLogger("sublm")
@@ -159,19 +160,21 @@ def eval_report(named_models: list[tuple[str, LanguageModel]],
                 corpus: EncodedCorpus, steps: int = 70):
     """Perplexity, size, and throughput of each model on each split.
 
-    Each model scores each split once.  Returns (rows, text, records):
-    machine-readable tuples, an aligned table, and the per-token
-    (position, word_id, prob) triples of each ``(model, split)`` pass.
-    Rows are (model, split, ppl, param_count, tokens_per_sec).
+    Each model scores each split in one timed ``evaluate_stream`` pass.
+    Returns (rows, text, records): machine-readable tuples, an aligned
+    table, and the per-token (position, word_id, prob) triples of each
+    pass.  Rows are (model, split, ppl, param_count, tokens_per_sec).
     """
     rows = []
     records = {}
     for name, model in named_models:
-        count = count_parameters(model)
+        params = count_parameters(model)
         for split, stream in named_streams:
-            ppl, tps, records[name, split] = timed_perplexity(model, stream, corpus,
-                                                              steps=steps)
-            rows.append((name, split, ppl, count, tps))
+            start = time.perf_counter()
+            total, count, records[name, split] = evaluate_stream(
+                model, stream, corpus, steps=steps, collect_records=True)
+            tps = count / max(time.perf_counter() - start, 1e-9)
+            rows.append((name, split, _ppl(total, count), params, tps))
     header = ("model", "split", "ppl", "params", "tokens_per_sec")
     widths = [max(len(str(header[i])),
                   *(len(_fmt(row[i])) for row in rows)) for i in range(5)]

@@ -69,7 +69,7 @@ class CompositionConfig:
         if self.d_s < 1:
             raise ConfigError(f"{self.variant} needs d_s >= 1")
         if self.n < 1:
-            raise ConfigError("n (max subwords per word) must be >= 1")
+            raise ConfigError(f"{self.variant} needs max_subwords (n) >= 1, got {self.n}")
         if self.variant == "syl-lstm" and self.d_w < 1:
             raise ConfigError("syl-lstm needs d_w >= 1 (its hidden size)")
         if self.variant == "syl-cnn":

@@ -98,13 +98,17 @@ class TrainConfig:
 
 def _coerce(name: str, kind, raw: str, lineno: int):
     try:
-        if kind is int:
-            return int(float(raw)) if ("e" in raw or "." in raw) else int(raw)
-        if kind is float:
-            return float(raw)
-        return raw
+        if kind is not int:
+            return kind(raw)
+        try:
+            return int(raw)  # exact however large
+        except ValueError:
+            value = float(raw)  # an integral float such as 5e6 is accepted
+        if value.is_integer():
+            return int(value)
     except ValueError:
-        raise ConfigError(f"line {lineno}: cannot parse {name} = {raw!r}") from None
+        pass
+    raise ConfigError(f"line {lineno}: cannot parse {name} = {raw!r} as {kind.__name__}")
 
 
 def parse_config(text: str) -> TrainConfig:

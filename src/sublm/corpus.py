@@ -239,7 +239,7 @@ def save_vocabs(vocabs: Vocabularies, words_path, subwords_path) -> None:
 
 
 def _parse_vocab_file(text: str, what: str) -> tuple[list[str], np.ndarray]:
-    tokens: list[str] = []
+    ids: dict[str, int] = {}  # in id order
     freqs: list[int] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -251,11 +251,14 @@ def _parse_vocab_file(text: str, what: str) -> tuple[list[str], np.ndarray]:
         if not (idx.isdecimal() and freq.isdecimal()):
             raise ConfigError(f"{what} vocab line {lineno}: id and freq must be integers")
         idx, freq = int(idx), int(freq)
-        if idx != len(tokens):
+        if idx != len(ids):
             raise ConfigError(f"{what} vocab line {lineno}: ids must be dense and ordered")
-        tokens.append(token)
+        if token in ids:
+            raise ConfigError(f"{what} vocab line {lineno}: token {token!r} already has "
+                              f"id {ids[token]}")
+        ids[token] = idx
         freqs.append(freq)
-    return tokens, np.array(freqs, dtype=np.int64)
+    return list(ids), np.array(freqs, dtype=np.int64)
 
 
 def load_vocabs(words_path, subwords_path, segmenter: Segmenter) -> Vocabularies:

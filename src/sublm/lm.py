@@ -9,7 +9,6 @@ whole stream, with state carried across windows.
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 
@@ -100,7 +99,8 @@ class LanguageModel:
 
         Returns (loss, new_state).  ``targets`` is (batch, steps); sampling
         applies only in train mode with a sampler, whose ``sample_count``
-        must lie in (0, V).
+        must lie in (0, V).  Under the full softmax ``loss.meta`` is the
+        detached per-row NLL, time-major like ``embed_window``'s rows.
         """
         word_ids = np.asarray(word_ids)
         batch, steps = word_ids.shape
@@ -111,7 +111,8 @@ class LanguageModel:
             loss = sampled_softmax_nll(h, self.w_out, self.b_out, flat_targets,
                                        sample_count, sampler, rng)
         else:
-            loss, _ = full_softmax_nll(self.logits(h), flat_targets)
+            loss, nll = full_softmax_nll(self.logits(h), flat_targets)
+            loss.meta = nll
         return loss, new_state
 
 
@@ -239,9 +240,10 @@ def evaluate_stream(model: LanguageModel, stream: np.ndarray,
                     collect_records: bool = False):
     """Full-softmax NLL over a whole stream at batch 1 with carried state.
 
-    Every target token (positions 1..len-1) is scored exactly once.  Returns
-    ``(total_nll, token_count, records)`` where records, when requested, hold
-    one (position, word_id, prob) triple per target token.
+    Each window is one eval-mode ``model.window_nll``, and every target token
+    (positions 1..len-1) is scored exactly once.  Returns ``(total_nll,
+    token_count, records)`` where records, when requested, hold one
+    (position, word_id, prob) triple per target token.
     """
     total_nll = 0.0
     count = 0
@@ -252,16 +254,13 @@ def evaluate_stream(model: LanguageModel, stream: np.ndarray,
             if not carry:
                 state = model.zero_state(1)
             t = inputs.shape[1]
-            x = model.embed_window(inputs, corpus)
-            h, state = model.lm_forward(x, t, state, mode="eval")
-            flat_targets = targets.T.reshape(-1)
-            loss, nll = full_softmax_nll(model.logits(h), flat_targets)
+            loss, state = model.window_nll(inputs, targets, corpus, state)
             total_nll += loss.item() * t
             if collect_records:
-                base = count + 1
-                for j in range(t):
-                    records.append((base + j, int(flat_targets[j]), math.exp(-nll[j])))
+                records += [(count + 1 + j, int(targets[0, j]), math.exp(-loss.meta[j]))
+                            for j in range(t)]
             count += t
+            del loss  # frees this window's outputs before the next forward pass
     return total_nll, count, records
 
 
@@ -275,13 +274,3 @@ def perplexity(model: LanguageModel, stream: np.ndarray, corpus: EncodedCorpus,
     """exp(mean NLL) over the stream; the reporting metric everywhere."""
     total, count, _ = evaluate_stream(model, stream, corpus, steps=steps)
     return _ppl(total, count)
-
-
-def timed_perplexity(model, stream, corpus, steps: int = 70):
-    """(perplexity, tokens/sec, records) from one timed scoring pass, with
-    the per-token records of ``evaluate_stream``."""
-    start = time.perf_counter()
-    total, count, records = evaluate_stream(model, stream, corpus, steps=steps,
-                                            collect_records=True)
-    elapsed = max(time.perf_counter() - start, 1e-9)
-    return _ppl(total, count), count / elapsed, records

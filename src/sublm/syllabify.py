@@ -43,9 +43,9 @@ def load_patterns(pattern_text: str, exceptions_text: str = "",
     """Build a PatternSet from TeX-style pattern and exception texts.
 
     One pattern per line; ``%`` starts a comment; ``.`` marks a word edge;
-    digits 0..9 are break priorities between letters.  Exception lines are
-    words with ``-`` at each break point.  Malformed lines raise
-    PatternParseError with their line number.
+    digits 0..9 are break priorities between letters, merged by maximum when
+    a letter string repeats.  Exception lines are words with ``-`` at each
+    break point.  Malformed lines raise PatternParseError with the line.
     """
     if left_min < 1 or right_min < 1:
         raise ConfigError("left_min and right_min must be at least 1")
@@ -59,7 +59,7 @@ def load_patterns(pattern_text: str, exceptions_text: str = "",
             node = trie
             for ch in chars:
                 node = node.setdefault(ch, {})
-            node[_POINTS] = points
+            node[_POINTS] = tuple(map(max, node.get(_POINTS, points), points))
 
     exceptions: dict[str, tuple[int, ...]] = {}
     for lineno, raw in enumerate(exceptions_text.splitlines(), start=1):

@@ -47,7 +47,7 @@ class ModelSizes:
                 "vocab_size and subword_vocab_size are required when no "
                 "vocabulary files are given")
         return ModelSizes(config.vocab_size, config.subword_vocab_size,
-                          max(config.max_subwords, 1))
+                          config.max_subwords)
 
 
 def composition_config(config: TrainConfig, sizes: ModelSizes) -> CompositionConfig:

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from sublm import cli, lm
+from sublm import analysis, cli, lm
 from sublm import tensor as T
 from sublm.checkpoint import Checkpoint
 from sublm.cli import run
@@ -120,6 +120,15 @@ class TestParams:
         assert run(["params", "--config", cfg]) == 0
         count = int(capsys.readouterr().out.split("\t")[1])
         assert abs(count - 13e6) < 0.1 * 13e6
+
+    @pytest.mark.parametrize("variant, code", [("syl-concat", 4), ("word-direct", 0)])
+    def test_without_max_subwords(self, tmp_path, capsys, variant, code):
+        cfg = tmp_path / "no-n.cfg"
+        cfg.write_text(f"variant = {variant}\nd_s = 50\nd_w = 50\nd_hw = 300\n"
+                       "d_lm = 300\nvocab_size = 10000\nsubword_vocab_size = 6000\n")
+        assert run(["params", "--config", str(cfg)]) == code
+        if code:
+            assert "max_subwords" in error_lines(capsys)[0]
 
     def test_malformed_config(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -234,6 +243,7 @@ class TestPipeline:
         # under every name the analyze verb could call it by
         monkeypatch.setattr(lm, "evaluate_stream", counting)
         monkeypatch.setattr(cli, "evaluate_stream", counting, raising=False)
+        monkeypatch.setattr(analysis, "evaluate_stream", counting, raising=False)
         assert run(["analyze", "--checkpoint", str(ckpt), "--checkpoint", str(ckpt2),
                     "--corpus", str(valid_f), "--out", str(tmp_path / "reports")]) == 0
         assert sorted(calls.values()) == [1, 1]
@@ -407,6 +417,22 @@ class TestInputErrors:
         assert run(["params", "--config", str(cfg)]) == 4
         errors = error_lines(capsys)
         assert errors and "line 3" in errors[0]
+
+    def test_word_listed_twice_exits_4(self, tmp_path, rng, capsys):
+        train_f, valid_f = write_demo_corpus(tmp_path, rng)
+        vocab_dir = tmp_path / "vocab"
+        assert run(["build-vocab", "--corpus", str(train_f), "--mode", "chars",
+                    "--out", str(vocab_dir)]) == 0
+        words = vocab_dir / "words.tsv"
+        lines = words.read_text().splitlines()
+        token = lines[2].split("\t")[1]
+        lines[3] = "\t".join(["3", token, "1"])
+        words.write_text("\n".join(lines) + "\n")
+        cfg = write_demo_config(tmp_path, train_f, valid_f, vocab_dir=str(vocab_dir))
+        capsys.readouterr()
+        assert run(["params", "--config", str(cfg)]) == 4
+        errors = error_lines(capsys)
+        assert errors and f"line 4: token {token!r}" in errors[0]
 
 
 class TestOutOfRangeKeys:

@@ -48,6 +48,16 @@ lr = 0.5   # inline comment
         cfg = parse_config("variant = syl-sum\nd_s = 4\nd_lm = 4\nbudget = 5e6\n")
         assert cfg.budget == 5_000_000
 
+    @pytest.mark.parametrize("line", ["d_lm = 300.7", "batch_size = 2.5"])
+    def test_non_integral_int_rejected(self, line):
+        key = line.split()[0]
+        with pytest.raises(ConfigError, match=f"line 3: cannot parse {key}"):
+            parse_config(f"variant = syl-sum\nd_s = 4\n{line}\n")
+
+    def test_large_int_stays_exact(self):
+        cfg = parse_config(f"budget = {10 ** 20 + 1}\n")
+        assert cfg.budget == 10 ** 20 + 1
+
     def test_invalid_values(self):
         with pytest.raises(ConfigError):
             parse_config("variant = syl-sum\nd_s = 4\nd_lm = 4\ndropout = 1.5\n")

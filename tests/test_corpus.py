@@ -227,3 +227,15 @@ class TestVocabFiles:
         (tmp_path / "subwords.tsv").write_text("0\tc\t0\n")
         with pytest.raises(ConfigError):
             C.load_vocabs(tmp_path / "words.tsv", tmp_path / "subwords.tsv", chars)
+
+    @pytest.mark.parametrize("name, kind, token", [("words.tsv", "word", "cat"),
+                                                   ("subwords.tsv", "subword", "c")])
+    def test_token_listed_twice_rejected(self, tmp_path, chars, name, kind, token):
+        v = C.build_vocabs("cat dog cat bird\n", chars)
+        C.save_vocabs(v, tmp_path / "words.tsv", tmp_path / "subwords.tsv")
+        path = tmp_path / name
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines) + f"\n{len(lines)}\t{token}\t1\n")
+        with pytest.raises(ConfigError, match=f"{kind} vocab line {len(lines) + 1}: "
+                                              f"token '{token}' already has id"):
+            C.load_vocabs(tmp_path / "words.tsv", tmp_path / "subwords.tsv", chars)

@@ -7,11 +7,11 @@ from fdiff import check_grads, safe_instance, scalar_loss
 from lstm_reference import lstm_step, lstm_steps
 from sublm import tensor as T
 from sublm.composition import CompositionConfig, build_composer, uniform_init
-from sublm.corpus import EncodedCorpus
+from sublm.corpus import EncodedCorpus, eval_windows
 from sublm.errors import ConfigError
 from sublm.lm import (LanguageModel, LogUniformSampler, _sample_unique,
                       evaluate_stream, full_softmax_nll, perplexity,
-                      sample_count_for, sampled_softmax_nll, timed_perplexity)
+                      sample_count_for, sampled_softmax_nll)
 
 W_VOCAB, S_VOCAB, N = 6, 8, 3
 
@@ -266,14 +266,23 @@ class TestPerplexity:
         probs = (e / e.sum(axis=1, keepdims=True))[np.arange(22), stream[1:]]
         assert np.abs(np.array([p for _, _, p in records]) / probs - 1.0).max() < 1e-12
 
-    def test_timed_perplexity_reports_throughput(self, rng):
+    @pytest.mark.parametrize("steps", [5, 22])
+    def test_each_window_is_scored_by_window_nll(self, rng, monkeypatch, steps):
         model = toy_model(rng)
         corpus = toy_corpus(rng)
-        stream = rng.integers(0, W_VOCAB, size=40)
-        ppl, tps, records = timed_perplexity(model, stream, corpus, steps=8)
-        assert len(records) == len(stream) - 1
-        assert ppl == pytest.approx(perplexity(model, stream, corpus, steps=8))
-        assert tps > 0
+        stream = rng.integers(0, W_VOCAB, size=23)
+        original = LanguageModel.window_nll
+        modes = []
+
+        def window_nll(self, *args, **kwargs):
+            modes.append(kwargs.get("mode", "eval"))
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(LanguageModel, "window_nll", window_nll)
+        evaluate_stream(model, stream, corpus, steps=steps)
+        windows = len(list(eval_windows(stream, steps)))
+        assert windows == -(-22 // steps)
+        assert modes == ["eval"] * windows
 
 
 def sampled_reference(hv, wv, bv, targets, drawn, tries, probs):

@@ -90,6 +90,11 @@ class TestLoadPatterns:
         ps = load_patterns("a1b\n", left_min=1, right_min=1)
         assert hyphenate("aab", ps) == ["aa", "b"]
 
+    @pytest.mark.parametrize("text", ["1ba\nb1a\n", "b1a\n1ba\n"])
+    def test_duplicate_letters_merge_by_max(self, text):
+        ps = load_patterns(text, left_min=1, right_min=1)
+        assert hyphenate("xbax", ps) == ["x", "b", "ax"]
+
     def test_empty_exceptions(self):
         ps = load_patterns("a1b\n", "")
         assert ps.exceptions == {}
