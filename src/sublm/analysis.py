@@ -17,6 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .corpus import EncodedCorpus, Vocabularies
+from .errors import ConfigError
 from .lm import LanguageModel, _ppl, evaluate_stream
 from .training import count_parameters
 
@@ -91,7 +92,8 @@ def ppl_by_frequency(records: list[TokenRecord], bin_edges):
 
     Bins must cover every token's training frequency; together they see each
     test token exactly once.  Returns (rows, overall_ppl) with rows of
-    (lo, hi, count, ppl); empty bins report a count of 0 and no ppl.
+    (lo, hi, count, ppl); empty bins report a count of 0 and no ppl.  A
+    probability of 0 is an infinite NLL, and a ppl that overflows is inf.
     """
     edges = list(bin_edges)
     if sorted(edges) != edges or len(edges) < 2:
@@ -103,13 +105,13 @@ def ppl_by_frequency(records: list[TokenRecord], bin_edges):
         if idx < 0 or idx >= len(counts):
             raise ValueError(
                 f"token frequency {r.freq} falls outside the bins {edges}")
-        nll_sums[idx] += -math.log(r.prob)
+        nll_sums[idx] += -math.log(r.prob) if r.prob > 0.0 else math.inf
         counts[idx] += 1
     rows = []
     for i in range(len(counts)):
-        ppl = math.exp(nll_sums[i] / counts[i]) if counts[i] else None
+        ppl = _ppl(nll_sums[i], counts[i]) if counts[i] else None
         rows.append((edges[i], edges[i + 1], counts[i], ppl))
-    overall = math.exp(sum(nll_sums) / len(records)) if records else None
+    overall = _ppl(sum(nll_sums), len(records)) if records else None
     return rows, overall
 
 
@@ -119,13 +121,16 @@ def pca_component_counts(embeddings: np.ndarray, thresholds):
     Embeddings are z-scored per dimension (zero-variance dimensions are
     dropped with a warning), then the covariance is eigendecomposed; the
     count for a threshold is the smallest k whose top-k eigenvalues explain
-    at least that fraction of the total variance.
+    at least that fraction of the total variance.  Embeddings with no
+    varying dimension are a ConfigError.
     """
     x = np.asarray(embeddings, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] < 2:
-        raise ValueError("embeddings must be (words, dims) with dims >= 2")
+    if x.ndim != 2:
+        raise ValueError("embeddings must be (words, dims)")
     std = x.std(axis=0)
     keep = std > 0
+    if not keep.any():
+        raise ConfigError("PCA needs an embedding dimension that varies over the vocabulary")
     if not keep.all():
         log.warning("dropping %d zero-variance dimensions before PCA",
                     int((~keep).sum()))

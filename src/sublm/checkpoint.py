@@ -69,7 +69,7 @@ class Checkpoint:
                     f.write(tag)
                     f.write(struct.pack("<B", arr.ndim))
                     f.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-                    f.write(np.ascontiguousarray(arr, dtype=_DTYPES[tag]).tobytes())
+                    f.write(np.ascontiguousarray(arr, dtype=_DTYPES[tag]).data)
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):  # only when the write or rename failed
@@ -81,10 +81,13 @@ class Checkpoint:
         with open(path, "rb") as f:
             end = os.fstat(f.fileno()).st_size
 
-            def read(size: int) -> bytes:
+            def check(size: int) -> int:
                 if f.tell() + size > end:
                     raise ConfigError(f"{path}: truncated checkpoint")
-                return f.read(size)
+                return size
+
+            def read(size: int) -> bytes:
+                return f.read(check(size))
 
             def unpack(fmt: str):
                 return struct.unpack(fmt, read(struct.calcsize(fmt)))
@@ -103,8 +106,9 @@ class Checkpoint:
                     if tag not in _DTYPES:
                         raise ConfigError(f"{path}: unknown dtype tag {tag!r}")
                     shape = unpack(f"<{unpack('<B')[0]}Q")
-                    data = read(math.prod(shape) * _DTYPES[tag].itemsize)
-                    arrays[name] = np.frombuffer(data, _DTYPES[tag]).reshape(shape).copy()
+                    check(math.prod(shape) * _DTYPES[tag].itemsize)
+                    arrays[name] = np.empty(shape, _DTYPES[tag])
+                    f.readinto(arrays[name].data)
                 return Checkpoint(config=header["config"],
                                   vocab_hashes=header["vocab_hashes"],
                                   epoch=header["epoch"],

@@ -7,6 +7,7 @@ defaults (epochs, batch size, BPTT steps); explicit keys override it.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -77,8 +78,8 @@ class TrainConfig:
             raise ConfigError(f"precision must be f64 or f32, got {self.precision!r}")
         for key in ("lr", "clip_norm", "init_range", "batch_size", "bptt",
                     "max_epochs", "budget_tolerance", "sample_fraction"):
-            if getattr(self, key) <= 0:
-                raise ConfigError(f"{key} must be positive")
+            if not 0 < getattr(self, key) < math.inf:
+                raise ConfigError(f"{key} must be positive and finite")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must be in [0, 1)")
         if self.seed < 0:

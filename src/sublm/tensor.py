@@ -2,8 +2,8 @@
 
 Every operation computes its result eagerly with numpy and remembers its
 inputs together with a backward rule.  ``backward(loss)`` walks the recording
-in reverse topological order and accumulates gradients into the ``.grad`` of
-the leaf tensors it reaches (parameters, inputs); interior nodes keep none.
+newest first (:func:`recorded`) and accumulates gradients into the ``.grad``
+of the leaf tensors it reaches (parameters, inputs); interior nodes keep none.
 Repeated calls accumulate additively until grads are cleared.  A whole LSTM
 layer over a window is one recorded op (:func:`lstm`), with its own
 backpropagation through time and dropout on its outputs, so a window's
@@ -126,20 +126,26 @@ def custom_op(data, name: str, parents: Sequence[Tensor],
     added to the parent's grad buffer, a callable mutating the buffer in
     place, or ``None``.
     """
-    out = Tensor.__new__(Tensor)
-    out.data = data
-    out.grad = None
-    out.node_id = next(_ids)
-    out.meta = None
+    out = Tensor(data)
     if _local.grad_enabled:
-        out.op = name
-        out._parents = tuple(parents)
-        out._backward = backward
-    else:
-        out.op = "leaf"
-        out._parents = ()
-        out._backward = None
+        out.op, out._parents, out._backward = name, tuple(parents), backward
     return out
+
+
+def recorded(loss: Tensor) -> list[Tensor]:
+    """Every tensor ``loss`` depends on, ``loss`` and the leaves included, newest first.
+
+    An op's inputs exist before its output, so descending ``node_id`` order
+    lists every node after all of its consumers.
+    """
+    found = {loss.node_id: loss}
+    stack = [loss]
+    while stack:
+        for p in stack.pop()._parents:
+            if p.node_id not in found:
+                found[p.node_id] = p
+                stack.append(p)
+    return [found[i] for i in sorted(found, reverse=True)]
 
 
 def backward(loss: Tensor) -> None:
@@ -151,44 +157,24 @@ def backward(loss: Tensor) -> None:
     """
     if loss.data.shape != ():
         raise ValueError(f"backward target must be scalar, got shape {loss.data.shape}")
-
-    # Reverse post-order over the recording: inputs always precede outputs.
-    order: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
+    pending = {loss.node_id: np.ones((), dtype=loss.data.dtype)}
+    for node in recorded(loss):
+        g = pending.pop(node.node_id, None)
+        if g is None:
             continue
-        if node.node_id in seen or node._backward is None:
+        if node._backward is None:
+            node.grad = g if node.grad is None else node.grad + g
             continue
-        seen.add(node.node_id)
-        stack.append((node, True))
-        for p in node._parents:
-            if p._backward is not None and p.node_id not in seen:
-                stack.append((p, False))
-
-    pending: dict[int, tuple[Tensor, np.ndarray]] = {
-        loss.node_id: (loss, np.ones((), dtype=loss.data.dtype))
-    }
-    for node in reversed(order):
-        entry = pending.pop(node.node_id, None)
-        if entry is None:
-            continue
-        for parent, contrib in zip(node._parents, node._backward(entry[1])):
+        for parent, contrib in zip(node._parents, node._backward(g)):
             if contrib is None:
                 continue
             buf = pending.get(parent.node_id)
             if buf is None:
-                buf = (parent, np.zeros_like(parent.data))
-                pending[parent.node_id] = buf
+                buf = pending[parent.node_id] = np.zeros_like(parent.data)
             if callable(contrib):
-                contrib(buf[1])
+                contrib(buf)
             else:
-                np.add(buf[1], contrib, out=buf[1])
-    for node, g in pending.values():  # remaining entries are leaves
-        node.grad = g if node.grad is None else node.grad + g
+                np.add(buf, contrib, out=buf)
 
 
 # ---------------------------------------------------------------------------

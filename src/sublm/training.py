@@ -214,7 +214,10 @@ def train(config: TrainConfig, vocabs: Vocabularies, corpus: EncodedCorpus,
 
 
 def model_from_checkpoint(ckpt: Checkpoint, sizes: ModelSizes):
-    """Rebuild the model a checkpoint describes and load its arrays."""
+    """Rebuild the model a checkpoint describes and load its arrays.
+
+    Each parameter adopts its array, shared with ``ckpt``; only a dtype mismatch copies.
+    """
     config = TrainConfig.from_dict(ckpt.config)
     model = build_model(config, sizes)
     missing = set(model.params) ^ set(ckpt.arrays)
@@ -225,7 +228,7 @@ def model_from_checkpoint(ckpt: Checkpoint, sizes: ModelSizes):
         if p.data.shape != arr.shape:
             raise ConfigError(f"checkpoint array {name} has shape {arr.shape}, "
                               f"model expects {p.data.shape}")
-        p.data = arr.astype(p.data.dtype, copy=True)
+        p.data = arr.astype(p.data.dtype, copy=False)
     return model, config
 
 

@@ -10,6 +10,7 @@ from sublm.analysis import (TokenRecord, default_freq_bins, dump_records,
                             vocabulary_embeddings)
 from sublm.composition import CompositionConfig, build_composer, uniform_init
 from sublm.corpus import EncodedCorpus, build_vocabs, encode_corpus
+from sublm.errors import ConfigError
 from sublm.lm import LanguageModel, perplexity
 from sublm.syllabify import Segmenter
 
@@ -124,6 +125,12 @@ class TestPplByFrequency:
         edges = default_freq_bins(3724)
         assert edges == [0, 1, 10, 100, 1000, 10000]
 
+    def test_zero_probability_and_overflow_read_inf(self):
+        rows, overall = ppl_by_frequency([rec(0, 0.0, freq=0), rec(1, 0.5, freq=5),
+                                          rec(2, 1e-310, freq=50)], [0, 1, 10, 100])
+        assert rows[0][3] == math.inf and rows[1][3] == pytest.approx(2.0)
+        assert rows[2][3] == math.inf and overall == math.inf
+
     def test_empty_bin_reported(self):
         rows, _ = ppl_by_frequency([rec(0, 0.5, freq=0)], [0, 1, 10])
         assert rows[1] == (1, 10, 0, None)
@@ -156,6 +163,17 @@ class TestPca:
             counts = pca_component_counts(data, [0.9])
         assert "zero-variance" in caplog.text
         assert counts[0] <= 4
+
+    def test_one_varying_dimension_needs_one(self, rng):
+        column = rng.normal(size=(40, 1))
+        assert pca_component_counts(column, [0.5, 0.99]) == [1, 1]
+        with_constant = np.hstack([column, np.full((40, 1), 3.0)])
+        assert pca_component_counts(with_constant, [0.5, 0.99]) == [1, 1]
+
+    @pytest.mark.parametrize("dims", [1, 3])
+    def test_no_varying_dimension_is_a_config_error(self, dims):
+        with pytest.raises(ConfigError, match="varies"):
+            pca_component_counts(np.full((10, dims), 2.0), [0.9])
 
     def test_bad_threshold_rejected(self, rng):
         with pytest.raises(ValueError):

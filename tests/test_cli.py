@@ -388,6 +388,47 @@ class TestAnalyzeFlags:
         assert not out_dir.exists()
 
 
+class TestAnalyzeDegenerateModels:
+    """Reports of models at numeric edge cases: written, or exit 4."""
+
+    @staticmethod
+    def rewrite(ckpt, suffix, change):
+        loaded = Checkpoint.load(ckpt)
+        (name,) = [n for n in loaded.arrays if n.endswith(suffix)]
+        loaded.arrays[name] = change(loaded.arrays[name])
+        loaded.save(ckpt)
+
+    def test_zero_target_probability_reads_inf(self, one_epoch, tmp_path, capsys):
+        # output weights this large underflow some target probabilities to 0
+        ckpt, valid_f = one_epoch
+        self.rewrite(ckpt, "w_out", lambda w: w * 1e6)
+        out_dir = tmp_path / "reports"
+        assert run(["analyze", "--checkpoint", str(ckpt), "--corpus", str(valid_f),
+                    "--out", str(out_dir)]) == 0
+        probs = [float(line.split("\t")[2]) for line in
+                 (out_dir / "records_model.tsv").read_text().splitlines()[1:]]
+        assert min(probs) == 0.0
+        rows = (out_dir / "freq_ppl.tsv").read_text().splitlines()[1:]
+        assert any(row.endswith("\tinf") for row in rows)
+
+    def test_one_dimensional_embeddings(self, tmp_path, rng, capsys):
+        train_f, valid_f = write_demo_corpus(tmp_path, rng)
+        cfg = write_demo_config(tmp_path, train_f, valid_f, variant="word-direct",
+                                d_s=0, d_w=1, max_epochs=1)
+        ckpt = tmp_path / "model.ckpt"
+        assert run(["train", "--config", str(cfg), "--out", str(ckpt)]) == 0
+        out_dir = tmp_path / "reports"
+        analyze = ["analyze", "--checkpoint", str(ckpt), "--corpus", str(valid_f),
+                   "--out", str(out_dir)]
+        assert run(analyze) == 0
+        assert (out_dir / "pca.tsv").read_text().splitlines()[1] == "model\t1\t1\t1\t1"
+        capsys.readouterr()
+        self.rewrite(ckpt, "e_w", lambda e: np.full_like(e, 0.25))
+        assert run(analyze) == 4
+        errors = error_lines(capsys)
+        assert errors and "varies" in errors[0]
+
+
 def error_lines(capsys):
     return [line for line in capsys.readouterr().err.splitlines()
             if line.startswith("error: ")]
@@ -446,6 +487,16 @@ class TestOutOfRangeKeys:
         errors = error_lines(capsys)
         assert errors and key in errors[0]
 
+
+    @pytest.mark.parametrize("key,value", [("lr", "nan"), ("clip_norm", "inf")])
+    def test_train_non_finite_float_exits_4(self, tmp_path, rng, capsys, key, value):
+        train_f, valid_f = write_demo_corpus(tmp_path, rng)
+        cfg = write_demo_config(tmp_path, train_f, valid_f, **{key: value})
+        ckpt = tmp_path / "model.ckpt"
+        assert run(["train", "--config", str(cfg), "--out", str(ckpt)]) == 4
+        errors = error_lines(capsys)
+        assert errors and key in errors[0]
+        assert not ckpt.exists()
 
     def test_train_sampling_the_whole_vocabulary_exits_4(self, tmp_path, rng, capsys):
         # the demo vocabulary has 12 words, and a sampled softmax needs fewer

@@ -40,14 +40,7 @@ def random_batch(rng, m=3, n=4):
 
 def recorded_ops(out):
     """Sorted op names of every recorded node behind ``out``."""
-    seen, ops, stack = set(), [], [out]
-    while stack:
-        node = stack.pop()
-        if node._backward is not None and node.node_id not in seen:
-            seen.add(node.node_id)
-            ops.append(node.op)
-            stack.extend(node._parents)
-    return sorted(ops)
+    return sorted(node.op for node in T.recorded(out) if node.op != "leaf")
 
 
 class TestConfig:

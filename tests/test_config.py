@@ -66,6 +66,13 @@ lr = 0.5   # inline comment
         with pytest.raises(ConfigError):
             parse_config("variant = syl-sum\nd_s = 4\nd_lm = 4\nscale = data-xl\n")
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", ["lr", "clip_norm", "init_range", "sample_fraction",
+                                     "budget_tolerance"])
+    def test_non_finite_float_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be positive and finite"):
+            parse_config(f"variant = syl-sum\nd_s = 4\nd_lm = 4\n{key} = {value}\n")
+
     def test_roundtrip_through_dict(self):
         cfg = parse_config("variant = syl-avg-b\nd_s = 32\nd_lm = 48\nseed = 7\n")
         again = TrainConfig.from_dict(cfg.to_dict())

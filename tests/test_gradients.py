@@ -241,13 +241,7 @@ def test_fd_tests_cover_every_recorded_op(rng):
         for mode, extra in (("eval", {}), ("train", {}), ("train", sampled)):
             loss, _ = model.window_nll(ids, ids, corpus, model.zero_state(2), mode=mode,
                                        rng=np.random.default_rng(0), **extra)
-            stack, seen = [loss], set()
-            while stack:
-                node = stack.pop()
-                if node._backward is not None and node.node_id not in seen:
-                    seen.add(node.node_id)
-                    recorded.add(node.op)
-                    stack.extend(node._parents)
+            recorded.update(node.op for node in T.recorded(loss) if node.op != "leaf")
     assert recorded == set(FD_TESTS)
     for op, path in FD_TESTS.items():
         module, *names = path.split("::")

@@ -46,13 +46,7 @@ def toy_model(rng=None, d_lm=5, dropout=0.0, variant="syl-sum"):
 
 def recorded_nodes(loss):
     """The number of recorded nodes behind ``loss``."""
-    seen, stack = set(), [loss]
-    while stack:
-        node = stack.pop()
-        if node._backward is not None and node.node_id not in seen:
-            seen.add(node.node_id)
-            stack.extend(node._parents)
-    return len(seen)
+    return sum(node.op != "leaf" for node in T.recorded(loss))
 
 
 class TestForward:

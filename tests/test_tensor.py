@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cnn_reference import conv_max_over_time, conv_max_over_time_grads
-from fdiff import scalar_loss
+from fdiff import check_grads, scalar_loss
 from highway_reference import highway
 from lstm_reference import lstm_steps
 from sublm import tensor as T
@@ -293,6 +293,31 @@ class TestBackward:
         assert q.item() == 32.0
         T.backward(q)
         assert x.grad.tolist() == [[36.0]] and y.grad.tolist() == [1.0]
+
+    def test_recorded_lists_every_node_after_its_consumers(self, rng):
+        # u has three consumers, and they are created in another order than
+        # a depth-first post-order walk from the loss would list them
+        x, w, b = t(rng.normal(size=(2, 2))), t(rng.normal(size=(2, 2))), t(rng.normal(size=2))
+
+        def add(*xs):
+            return T.custom_op(sum(a.data for a in xs), "add", xs, lambda g: (g,) * len(xs))
+
+        def loss_fn():
+            u = T.mul_scalar(x, 3.0)
+            late = T.affine(u, w, b)
+            early = T.mul_scalar(u, -0.5)
+            mid = T.affine(T.mul_scalar(u, 2.0), w, b)
+            return scalar_loss(add(mid, add(early, T.affine(late, w, b))))
+
+        loss = loss_fn()
+        nodes = T.recorded(loss)
+        position = {node.node_id: i for i, node in enumerate(nodes)}
+        assert nodes[0] is loss and len(position) == len(nodes) == 12
+        for node in nodes:
+            for parent in node._parents:
+                assert position[parent.node_id] > position[node.node_id], parent.op
+        assert sum(node.op == "leaf" for node in nodes) == 3
+        check_grads(loss_fn, dict(x=x, w=w, b=b))
 
     def test_grads_land_on_leaves_only(self, rng):
         x = t(rng.normal(size=(2, 3)))

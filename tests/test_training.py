@@ -432,14 +432,8 @@ def test_f32_window_keeps_parameter_dtype(variant, mode, softmax):
                                mode=mode, rng=rng,
                                **(sampled if softmax == "sampled" else {}))
     T.backward(loss)
-    seen, stack = set(), [loss]
-    while stack:
-        node = stack.pop()
-        if node.node_id in seen:
-            continue
-        seen.add(node.node_id)
+    for node in T.recorded(loss):
         assert node.data.dtype == np.float32, node.op
-        stack.extend(node._parents)
     for name, p in model.params.items():
         assert p.grad is not None and p.grad.dtype == np.float32, name
 
