@@ -43,6 +43,10 @@ EXIT_VOCAB_MISMATCH = 5
 EXIT_BUDGET = 6
 EXIT_DIVERGED = 7
 
+STEPS_HELP = ("word-LSTM window length (default: the checkpoint's bptt); it sets "
+              "the window only: state is carried across windows, so the "
+              "perplexity does not depend on it")
+
 
 def _read(path: str) -> str:
     with open(path, encoding="utf-8") as f:
@@ -102,13 +106,18 @@ def _vocabs_for(config: TrainConfig):
 
 
 def _training_data(config: TrainConfig):
-    """Config -> (vocabs, corpus with the encoded train and valid streams)."""
+    """Config -> (vocabs, corpus with the encoded train, valid and test streams).
+
+    The valid and test streams are there when their config keys are set.
+    """
     if not config.train:
         raise ConfigError("config key 'train' (training corpus path) is required")
     vocabs = _vocabs_for(config)
     texts = {"train": _read(config.train)}
-    if config.valid:
-        texts["valid"] = _read(config.valid)
+    for split in ("valid", "test"):
+        path = getattr(config, split)
+        if path:
+            texts[split] = _read(path)
     return vocabs, encode_corpus(texts, vocabs)
 
 
@@ -156,6 +165,10 @@ def cmd_train(args) -> int:
         return EXIT_DIVERGED
     ckpt.save(args.out)
     print(f"checkpoint\t{args.out}", file=sys.stderr)
+    if "test" in corpus.streams:
+        model, _ = model_from_checkpoint(ckpt, ModelSizes.from_vocabs(vocabs))
+        ppl = perplexity(model, corpus.streams["test"], corpus, steps=config.bptt)
+        print(f"test_ppl\t{ppl:.4f}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -257,46 +270,45 @@ def cmd_analyze(args) -> int:
         raise ConfigError(f"--freq-bins {freq_bins} miss the training frequency "
                           f"{missed[0]} of an evaluation token")
 
+    # every report is computed before the first file is written, so an
+    # error leaves nothing behind
     rows, text, raw = eval_report(models, [("eval", corpus.streams["eval"])],
                                   corpus, steps=steps)
     all_records = {name: records_from_eval(raw[name, "eval"], shared_vocabs)
                    for name, _ in models}
-    os.makedirs(args.out, exist_ok=True)
+    files = {f"records_{name}.tsv": dump_records(records)
+             for name, records in all_records.items()}
+    files["report.tsv"] = "model\tsplit\tppl\tparams\ttokens_per_sec\n" + "".join(
+        "\t".join(str(v) for v in row) + "\n" for row in rows)
+
+    lines = ["model\tfreq_lo\tfreq_hi\tcount\tppl\n"]
     for name, records in all_records.items():
-        with open(os.path.join(args.out, f"records_{name}.tsv"), "w",
-                  encoding="utf-8") as f:
-            f.write(dump_records(records))
+        bins, _ = ppl_by_frequency(records, freq_bins)
+        lines += [f"{name}\t{lo}\t{hi}\t{count}\t{'' if ppl is None else f'{ppl:.4f}'}\n"
+                  for lo, hi, count, ppl in bins]
+    files["freq_ppl.tsv"] = "".join(lines)
 
-    with open(os.path.join(args.out, "report.tsv"), "w", encoding="utf-8") as f:
-        f.write("model\tsplit\tppl\tparams\ttokens_per_sec\n")
-        for row in rows:
-            f.write("\t".join(str(v) for v in row) + "\n")
-    print(text, end="")
-
-    with open(os.path.join(args.out, "freq_ppl.tsv"), "w", encoding="utf-8") as f:
-        f.write("model\tfreq_lo\tfreq_hi\tcount\tppl\n")
-        for name, records in all_records.items():
-            bins, _ = ppl_by_frequency(records, freq_bins)
-            for lo, hi, count, ppl in bins:
-                f.write(f"{name}\t{lo}\t{hi}\t{count}\t"
-                        f"{'' if ppl is None else f'{ppl:.4f}'}\n")
-
-    with open(os.path.join(args.out, "pca.tsv"), "w", encoding="utf-8") as f:
-        f.write("model\t" + "\t".join(f"{t:g}" for t in args.pca_thresholds) + "\n")
-        for name, model in models:
-            emb = vocabulary_embeddings(model, corpus)
-            counts = pca_component_counts(emb, args.pca_thresholds)
-            f.write(name + "\t" + "\t".join(str(c) for c in counts) + "\n")
+    lines = ["model\t" + "\t".join(f"{t:g}" for t in args.pca_thresholds) + "\n"]
+    for name, model in models:
+        counts = pca_component_counts(vocabulary_embeddings(model, corpus),
+                                      args.pca_thresholds)
+        lines.append(name + "\t" + "\t".join(str(c) for c in counts) + "\n")
+    files["pca.tsv"] = "".join(lines)
 
     if len(models) == 2:
         (name_a, _), (name_b, _) = models
         table = shared_errors_table(all_records[name_a], all_records[name_b],
                                     args.p_star_grid)
-        with open(os.path.join(args.out, "shared_errors.tsv"), "w",
-                  encoding="utf-8") as f:
-            f.write("p_star\terr_%s\terr_%s\tfrac_shared\n" % (name_a, name_b))
-            for p_star, err_a, err_b, frac in table:
-                f.write(f"{p_star:g}\t{err_a:.6f}\t{err_b:.6f}\t{frac:.6f}\n")
+        lines = [f"p_star\terr_{name_a}\terr_{name_b}\tfrac_shared\n"]
+        lines += [f"{p_star:g}\t{err_a:.6f}\t{err_b:.6f}\t{frac:.6f}\n"
+                  for p_star, err_a, err_b, frac in table]
+        files["shared_errors.tsv"] = "".join(lines)
+
+    os.makedirs(args.out, exist_ok=True)
+    for file_name, content in files.items():
+        with open(os.path.join(args.out, file_name), "w", encoding="utf-8") as f:
+            f.write(content)
+    print(text, end="")
     return EXIT_OK
 
 
@@ -335,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="perplexity of a checkpoint on a corpus")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--steps", type=int, default=0, help="evaluation window")
+    p.add_argument("--steps", type=int, default=0, help=STEPS_HELP)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("params", help="parameter count of a config, no training")
@@ -356,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="repeat for pairwise comparisons")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--steps", type=int, default=0)
+    p.add_argument("--steps", type=int, default=0, help=STEPS_HELP)
     p.add_argument("--p-star-grid", default="0.001,0.01,0.05,0.1,0.2,0.5",
                    type=_list_flag(float, "comma-separated numbers"))
     p.add_argument("--freq-bins", default="", help="comma-separated bin edges",

@@ -147,9 +147,11 @@ def train(config: TrainConfig, vocabs: Vocabularies, corpus: EncodedCorpus,
 
     train_stream = corpus.streams["train"]
     valid_stream = corpus.streams.get("valid")
-    if valid_stream is not None:
-        # fail now rather than after the first epoch's training windows
-        check_eval_stream(valid_stream, config.bptt)
+    # fail now rather than after the first epoch's training windows (the
+    # test stream is scored after training, by the caller)
+    for split in ("valid", "test"):
+        if split in corpus.streams:
+            check_eval_stream(corpus.streams[split], config.bptt)
     sampler = None
     sample_count = 0
     if config.softmax == "sampled":

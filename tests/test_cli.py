@@ -336,6 +336,46 @@ class TestWindowSizes:
         assert not ckpt.exists()
 
 
+class TestTestSplit:
+    """The config's ``test`` corpus: checked before training, scored after it."""
+
+    def test_train_prints_the_best_checkpoints_test_ppl(self, tmp_path, rng, capsys):
+        train_f, valid_f = write_demo_corpus(tmp_path, rng)
+        test_f = tmp_path / "test.txt"
+        test_f.write_text("paper model window\nriver garden yellow table\n")
+        cfg = write_demo_config(tmp_path, train_f, valid_f, test=str(test_f))
+        ckpt = tmp_path / "model.ckpt"
+        assert run(["train", "--config", str(cfg), "--out", str(ckpt)]) == 0
+        captured = capsys.readouterr()
+        assert len(captured.out.strip().split("\n")) == 2  # epoch lines only
+        (line,) = [l for l in captured.err.splitlines() if l.startswith("test_ppl\t")]
+        # the same figure `sublm eval` gives on the test corpus at the bptt window
+        assert run(["eval", "--checkpoint", str(ckpt), "--corpus", str(test_f)]) == 0
+        assert line.split("\t")[1] == capsys.readouterr().out.strip().split("\t")[1]
+
+    @pytest.mark.parametrize("test_text,code", [(None, 3), ("", 4)],
+                             ids=["missing", "empty"])
+    def test_unusable_test_corpus_fails_before_training(self, tmp_path, rng, capsys,
+                                                        monkeypatch, test_text, code):
+        train_f, valid_f = write_demo_corpus(tmp_path, rng)
+        test_f = tmp_path / "test.txt"
+        if test_text is not None:
+            test_f.write_text(test_text)
+        cfg = write_demo_config(tmp_path, train_f, valid_f, test=str(test_f))
+        windows = []
+        original = lm.LanguageModel.window_nll
+
+        def window_nll(self, *args, **kwargs):
+            windows.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(lm.LanguageModel, "window_nll", window_nll)
+        ckpt = tmp_path / "model.ckpt"
+        assert run(["train", "--config", str(cfg), "--out", str(ckpt)]) == code
+        assert error_lines(capsys)
+        assert windows == [] and not ckpt.exists()
+
+
 class TestAnalyzeFlags:
     """Flags are checked before any checkpoint loads or output is written."""
 
@@ -427,6 +467,21 @@ class TestAnalyzeDegenerateModels:
         assert run(analyze) == 4
         errors = error_lines(capsys)
         assert errors and "varies" in errors[0]
+
+    def test_failed_pca_writes_no_report(self, tmp_path, rng, capsys):
+        train_f, valid_f = write_demo_corpus(tmp_path, rng)
+        cfg = write_demo_config(tmp_path, train_f, valid_f, variant="word-direct",
+                                d_s=0, d_w=2, max_epochs=1)
+        ckpt = tmp_path / "model.ckpt"
+        assert run(["train", "--config", str(cfg), "--out", str(ckpt)]) == 0
+        self.rewrite(ckpt, "e_w", lambda e: np.full_like(e, 0.25))
+        capsys.readouterr()
+        out_dir = tmp_path / "reports"
+        assert run(["analyze", "--checkpoint", str(ckpt), "--corpus", str(valid_f),
+                    "--out", str(out_dir)]) == 4
+        captured = capsys.readouterr()
+        assert "varies" in captured.err and captured.out == ""
+        assert not out_dir.exists()
 
 
 def error_lines(capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from fdiff import check_grads, safe_instance, scalar_loss
 from lstm_reference import lstm_step, lstm_steps
+from sublm import lm
 from sublm import tensor as T
 from sublm.composition import CompositionConfig, build_composer, uniform_init
 from sublm.corpus import EncodedCorpus, eval_windows
@@ -35,8 +36,8 @@ def toy_corpus(rng):
     return EncodedCorpus(streams={}, subword_rows=rows, row_lengths=lengths)
 
 
-def toy_model(rng=None, d_lm=5, dropout=0.0, variant="syl-sum"):
-    init = np.zeros if rng is None else uniform_init(rng, 0.3)
+def toy_model(rng=None, d_lm=5, dropout=0.0, variant="syl-sum", dtype=np.float64):
+    init = np.zeros if rng is None else uniform_init(rng, 0.3, dtype)
     kw = {"d_hw": 4} if variant == "syl-concat" else {}
     comp = build_composer(CompositionConfig(variant=variant, d_s=4, n=N, **kw),
                           W_VOCAB, S_VOCAB, init=init)
@@ -260,23 +261,78 @@ class TestPerplexity:
         probs = (e / e.sum(axis=1, keepdims=True))[np.arange(22), stream[1:]]
         assert np.abs(np.array([p for _, _, p in records]) / probs - 1.0).max() < 1e-12
 
-    @pytest.mark.parametrize("steps", [5, 22])
-    def test_each_window_is_scored_by_window_nll(self, rng, monkeypatch, steps):
+    # 100 targets (less than a block), 128 (one block), 131 (a block of 128
+    # or more plus a short last window, for most steps)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("steps", [1, 5, 22, 127, 128, 129])
+    @pytest.mark.parametrize("targets", [100, 128, 131])
+    def test_block_scoring_equals_one_window_at_a_time(self, rng, dtype, steps, targets):
+        model = toy_model(rng, dtype=dtype)
+        corpus = toy_corpus(rng)
+        stream = rng.integers(0, W_VOCAB, size=targets + 1)
+        ref_total, ref_records, state = 0.0, [], model.zero_state(1)
+        with T.no_grad():
+            for inputs, window_targets, carry in eval_windows(stream, steps):
+                if not carry:
+                    state = model.zero_state(1)
+                loss, state = model.window_nll(inputs, window_targets, corpus, state)
+                t, done = inputs.shape[1], len(ref_records)
+                ref_total += loss.item() * t
+                ref_records += [(done + 1 + j, int(window_targets[0, j]),
+                                 math.exp(-loss.meta[j])) for j in range(t)]
+        total, count, records = evaluate_stream(model, stream, corpus, steps=steps,
+                                                collect_records=True)
+        assert count == targets
+        assert total == pytest.approx(ref_total, rel=1e-12, abs=0)
+        assert [r[:2] for r in records] == [r[:2] for r in ref_records]
+        assert np.array([r[2] for r in records]) == pytest.approx(
+            np.array([r[2] for r in ref_records]), rel=1e-12, abs=0)
+
+    # a 300-token stream: 299 targets in windows of ``steps``, the last one short
+    @pytest.mark.parametrize("steps,block_windows,block_rows", [
+        (5, [26, 26, 8], [130, 130, 39]),
+        (35, [4, 4, 1], [140, 140, 19]),
+        (129, [1, 1, 1], [129, 129, 41]),
+    ])
+    def test_one_embed_and_softmax_per_window_one_logits_per_block(
+            self, rng, monkeypatch, steps, block_windows, block_rows):
+        """Windows run ``embed_window`` and ``full_softmax_nll`` once each, in
+        stream order, and each block of at least 128 rows one ``logits``
+        before its windows' ``full_softmax_nll`` calls.
+
+        The benchmark in ``perfbench/`` counts the ``full_softmax_nll`` calls
+        as its attempted eval windows (a NaN there is a failed window) and
+        times a window from one ``embed_window`` call to the next.
+        """
         model = toy_model(rng)
         corpus = toy_corpus(rng)
-        stream = rng.integers(0, W_VOCAB, size=23)
-        original = LanguageModel.window_nll
-        modes = []
+        stream = rng.integers(0, W_VOCAB, size=300)
+        calls = []
+        embed, softmax, logits = (LanguageModel.embed_window, lm.full_softmax_nll,
+                                  LanguageModel.logits)
 
-        def window_nll(self, *args, **kwargs):
-            modes.append(kwargs.get("mode", "eval"))
-            return original(self, *args, **kwargs)
+        def spy(name, fn, record):
+            def wrapped(*args):
+                calls.append((name, record(*args)))
+                return fn(*args)
+            return wrapped
 
-        monkeypatch.setattr(LanguageModel, "window_nll", window_nll)
+        monkeypatch.setattr(LanguageModel, "embed_window",
+                            spy("embed", embed, lambda self, ids, _: ids.tolist()))
+        monkeypatch.setattr(lm, "full_softmax_nll",
+                            spy("softmax", softmax, lambda _, y: y.tolist()))
+        monkeypatch.setattr(LanguageModel, "logits",
+                            spy("logits", logits, lambda self, h: h.shape[0]))
         evaluate_stream(model, stream, corpus, steps=steps)
-        windows = len(list(eval_windows(stream, steps)))
-        assert windows == -(-22 // steps)
-        assert modes == ["eval"] * windows
+
+        windows = list(eval_windows(stream, steps))
+        assert [ids for name, ids in calls if name == "embed"] == \
+            [x.tolist() for x, _, _ in windows]
+        assert [y for name, y in calls if name == "softmax"] == \
+            [y.reshape(-1).tolist() for _, y, _ in windows]
+        assert [n for name, n in calls if name == "logits"] == block_rows
+        assert [name for name, _ in calls if name != "embed"] == \
+            sum((["logits"] + ["softmax"] * n for n in block_windows), [])
 
 
 def sampled_reference(hv, wv, bv, targets, drawn, tries, probs):

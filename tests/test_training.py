@@ -373,6 +373,21 @@ class TestTrain:
             train(tiny_config(max_epochs=1), vocabs, corpus)
         assert windows == []
 
+    def test_unusable_test_stream_fails_before_any_window(self, monkeypatch):
+        vocabs, corpus = tiny_data()
+        corpus.streams["test"] = corpus.streams["valid"][:1]
+        windows = []
+        original = LanguageModel.window_nll
+
+        def window_nll(self, *args, **kwargs):
+            windows.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(LanguageModel, "window_nll", window_nll)
+        with pytest.raises(ConfigError, match="two tokens"):
+            train(tiny_config(max_epochs=1), vocabs, corpus)
+        assert windows == []
+
     def test_sampled_softmax_training_runs(self):
         vocabs, corpus = tiny_data()
         cfg = tiny_config(max_epochs=2, softmax="sampled", sample_fraction=0.5)
