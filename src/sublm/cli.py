@@ -193,10 +193,8 @@ def cmd_eval(args) -> int:
 
 def cmd_params(args) -> int:
     config = _resolve_config_paths(load_config(args.config), args.config)
-    if config.vocab_size and config.subword_vocab_size:
-        sizes = ModelSizes.from_config(config)
-    else:
-        sizes = ModelSizes.from_vocabs(_vocabs_for(config))
+    sizes = (ModelSizes.from_vocabs(_vocabs_for(config)) if config.vocab_dir or config.train
+             else ModelSizes.from_config(config))
     count = count_parameters(build_model(config, sizes))
     print(f"params\t{count}")
     return EXIT_OK

@@ -60,7 +60,7 @@ class TrainConfig:
     test: str = ""
     vocab_dir: str = ""
 
-    # explicit sizes for counting parameters without data
+    # sizes for `sublm params`, read only when no vocab_dir or train is named
     vocab_size: int = 0
     subword_vocab_size: int = 0
     max_subwords: int = 0
@@ -82,8 +82,9 @@ class TrainConfig:
                 raise ConfigError(f"{key} must be positive and finite")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must be in [0, 1)")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        for key in ("seed", "budget"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be non-negative, got {getattr(self, key)}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -317,11 +317,12 @@ def softmax_xent(logits: Tensor, targets: np.ndarray) -> tuple[Tensor, np.ndarra
 def lstm_params(input_dim: int, hidden_dim: int, init) -> tuple[Tensor, Tensor, Tensor]:
     """A cell's ``(wx, wh, b)`` from ``init(shape)``, whatever its dtype.
 
-    The gates are fused as (i, f, o, g) blocks of ``hidden_dim`` columns;
-    the forget biases are 1.
+    The gates are fused as (i, f, o, g) blocks of ``hidden_dim`` columns.
+    The forget biases are 1 in a new ``b``, as writeable as ``init``'s arrays.
     """
-    b = init((4 * hidden_dim,))
-    b[hidden_dim:2 * hidden_dim] = 1.0
+    drawn = init((4 * hidden_dim,))
+    b = np.where(np.arange(drawn.size) // hidden_dim == 1, 1, drawn)
+    b.flags.writeable = drawn.flags.writeable
     return (Tensor(init((input_dim, 4 * hidden_dim))),
             Tensor(init((hidden_dim, 4 * hidden_dim))), Tensor(b))
 

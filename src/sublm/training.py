@@ -9,7 +9,6 @@ bitwise-identical checkpoint.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import Checkpoint
-from .composition import CompositionConfig, build_composer, uniform_init, zeros_init
+from .composition import CompositionConfig, build_composer, uniform_init
 from .config import TrainConfig
 from .corpus import EncodedCorpus, Vocabularies, batch_stream, check_eval_stream
 from .errors import BudgetError, ConfigError, NonFiniteGradientError
@@ -44,8 +43,8 @@ class ModelSizes:
     def from_config(config: TrainConfig) -> "ModelSizes":
         if config.vocab_size < 1 or config.subword_vocab_size < 1:
             raise ConfigError(
-                "vocab_size and subword_vocab_size are required when no "
-                "vocabulary files are given")
+                "vocab_size and subword_vocab_size are required when the "
+                "config names no vocab_dir or train corpus")
         return ModelSizes(config.vocab_size, config.subword_vocab_size,
                           config.max_subwords)
 
@@ -65,14 +64,15 @@ def composition_config(config: TrainConfig, sizes: ModelSizes) -> CompositionCon
 
 def build_model(config: TrainConfig, sizes: ModelSizes,
                 rng: np.random.Generator | None = None) -> LanguageModel:
-    """Build the model; random uniform init when an rng is given, zeros else.
+    """Build the model, random uniform init drawn from ``rng``.
 
-    The initializer sets the precision of every array.  Both LSTMs' forget
-    biases are set to 1 regardless of the init.
+    Without an rng the build is shape-only, for counting and for loading a
+    checkpoint: its arrays are read-only, and all but the LSTM biases are
+    zero-stride views, so almost nothing is allocated and nothing can train on it.
     """
     dtype = np.float64 if config.precision == "f64" else np.float32
-    init = (functools.partial(zeros_init, dtype=dtype) if rng is None
-            else uniform_init(rng, config.init_range, dtype))
+    init = (uniform_init(rng, config.init_range, dtype) if rng is not None
+            else lambda shape: np.broadcast_to(np.zeros((), dtype), shape))
     composer = build_composer(composition_config(config, sizes), sizes.vocab_size,
                               sizes.subword_vocab_size, init=init)
     if config.d_lm < 1:
@@ -141,9 +141,9 @@ def train(config: TrainConfig, vocabs: Vocabularies, corpus: EncodedCorpus,
     aborts and the last good checkpoint is returned.
     """
     sizes = ModelSizes.from_vocabs(vocabs)
+    check_budget(config, count_parameters(build_model(config, sizes)))
     rng = np.random.default_rng(config.seed)
     model = build_model(config, sizes, rng=rng)
-    check_budget(config, count_parameters(model))
 
     train_stream = corpus.streams["train"]
     valid_stream = corpus.streams.get("valid")

@@ -130,6 +130,26 @@ class TestParams:
         if code:
             assert "max_subwords" in error_lines(capsys)[0]
 
+    def test_data_outranks_the_size_keys(self, tmp_path, rng, capsys):
+        # params counts the model train builds from the corpus vocabulary
+        train_f, valid_f = write_demo_corpus(tmp_path, rng, sentences=40)
+        cfg = write_demo_config(tmp_path, train_f, valid_f)
+        assert run(["params", "--config", str(cfg)]) == 0
+        count = int(capsys.readouterr().out.split("\t")[1])
+        cfg = write_demo_config(tmp_path, train_f, valid_f, max_epochs=1,
+                                vocab_size=10000, subword_vocab_size=6000, max_subwords=8,
+                                budget=count, budget_tolerance=0.001)
+        assert run(["params", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == f"params\t{count}\n"
+        assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")]) == 0
+
+    def test_size_keys_without_data_need_both_vocabulary_sizes(self, tmp_path, capsys):
+        cfg = tmp_path / "no-subwords.cfg"
+        cfg.write_text("variant = word-direct\nd_w = 50\nd_lm = 300\nvocab_size = 10000\n")
+        assert run(["params", "--config", str(cfg)]) == 4
+        errors = error_lines(capsys)
+        assert errors and "subword_vocab_size" in errors[0]
+
     def test_malformed_config(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("variant = syl-sum\nwhat = ever\n")
@@ -553,6 +573,15 @@ class TestOutOfRangeKeys:
         assert errors and key in errors[0]
         assert not ckpt.exists()
 
+    def test_train_negative_budget_exits_4(self, tmp_path, rng, capsys):
+        train_f, valid_f = write_demo_corpus(tmp_path, rng)
+        cfg = write_demo_config(tmp_path, train_f, valid_f, budget=-5)
+        ckpt = tmp_path / "model.ckpt"
+        assert run(["train", "--config", str(cfg), "--out", str(ckpt)]) == 4
+        errors = error_lines(capsys)
+        assert errors and "budget must be non-negative" in errors[0]
+        assert not ckpt.exists()
+
     def test_train_sampling_the_whole_vocabulary_exits_4(self, tmp_path, rng, capsys):
         # the demo vocabulary has 12 words, and a sampled softmax needs fewer
         # negatives than that
@@ -563,6 +592,21 @@ class TestOutOfRangeKeys:
         assert run(["train", "--config", str(cfg), "--out", str(ckpt)]) == 4
         errors = error_lines(capsys)
         assert errors and "sample_fraction" in errors[0]
+        assert not ckpt.exists()
+
+
+class TestBudgetMiss:
+    def test_train_over_budget_exits_6(self, tmp_path, rng, capsys):
+        train_f, valid_f = write_demo_corpus(tmp_path, rng)
+        cfg = write_demo_config(tmp_path, train_f, valid_f)
+        assert run(["params", "--config", str(cfg)]) == 0
+        count = int(capsys.readouterr().out.split("\t")[1])
+        cfg = write_demo_config(tmp_path, train_f, valid_f, budget=100, budget_tolerance=0.05)
+        ckpt = tmp_path / "model.ckpt"
+        assert run(["train", "--config", str(cfg), "--out", str(ckpt)]) == 6
+        errors = error_lines(capsys)
+        assert errors and f"model has {count} parameters" in errors[0]
+        assert "[95, 105]" in errors[0]
         assert not ckpt.exists()
 
 

@@ -73,6 +73,10 @@ lr = 0.5   # inline comment
         with pytest.raises(ConfigError, match=f"{key} must be positive and finite"):
             parse_config(f"variant = syl-sum\nd_s = 4\nd_lm = 4\n{key} = {value}\n")
 
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ConfigError, match="budget must be non-negative, got -5"):
+            parse_config("variant = syl-sum\nd_s = 4\nd_lm = 4\nbudget = -5\n")
+
     def test_roundtrip_through_dict(self):
         cfg = parse_config("variant = syl-avg-b\nd_s = 32\nd_lm = 48\nseed = 7\n")
         again = TrainConfig.from_dict(cfg.to_dict())

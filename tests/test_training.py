@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -8,8 +9,10 @@ import pytest
 from sublm import tensor as T
 from sublm.checkpoint import Checkpoint
 from sublm.cli import run
+from sublm.composition import uniform_init
 from sublm.config import TrainConfig, parse_config
 from sublm import lm as lm_module
+from sublm import training as training_mod
 from sublm.corpus import batch_stream, build_vocabs, encode_corpus, eval_windows
 from sublm.errors import BudgetError, ConfigError, NonFiniteGradientError
 from sublm.lm import (LanguageModel, LogUniformSampler, evaluate_stream,
@@ -117,6 +120,63 @@ class TestCountParameters:
             assert count == symbolic_count("syl-sum", PAPER_SIZES, d_s=175, d_lm=d_lm)
 
 
+MIB = 1 << 20
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes traced while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestShapeOnlyBuild:
+    """A build without an rng knows every shape and allocates no parameter memory."""
+
+    def test_counting_13m_allocates_nothing(self):
+        cfg = TrainConfig(variant="syl-concat", d_s=228, d_hw=781, d_lm=439)
+        assert traced_peak(lambda: count_parameters(build_model(cfg, PAPER_SIZES))) < MIB
+
+    def test_propose_trials_allocates_no_model(self):
+        base = TrainConfig(variant="syl-cnn", d_s=50, cnn_max_width=6, d_lm=300,
+                           budget=20_000_000, budget_tolerance=0.05)
+        trials = []
+        peak = traced_peak(lambda: trials.extend(
+            propose_trials(base, trials=3, sizes=PAPER_SIZES, seed=0)))
+        assert len(trials) == 3 and peak < MIB
+
+    def test_checkpoint_load_allocates_no_model(self):
+        cfg = TrainConfig(variant="syl-concat", d_s=20, d_hw=40, d_lm=40)
+        arrays = {name: np.zeros(p.data.shape)
+                  for name, p in build_model(cfg, PAPER_SIZES).params.items()}
+        assert sum(a.nbytes for a in arrays.values()) > 4 * MIB
+        ckpt = Checkpoint(config=cfg.to_dict(), vocab_hashes={}, epoch=1,
+                          best_val_ppl=1.0, arrays=arrays)
+        loaded = []
+        peak = traced_peak(lambda: loaded.append(model_from_checkpoint(ckpt, PAPER_SIZES)))
+        assert peak < MIB
+        model, _ = loaded[0]
+        assert all(model.params[name].data is a for name, a in arrays.items())
+
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    @pytest.mark.parametrize("variant", list(VARIANT_DIMS))
+    def test_arrays_are_read_only_and_match_the_seeded_build(self, variant, precision):
+        cfg = tiny_config(variant=variant, precision=precision, **VARIANT_DIMS[variant])
+        sizes = ModelSizes(vocab_size=20, subword_vocab_size=15, max_subwords=4)
+        shapes = build_model(cfg, sizes)
+        seeded = build_model(cfg, sizes, rng=np.random.default_rng(0))
+        assert list(shapes.params) == list(seeded.params)
+        for name, p in shapes.params.items():
+            assert not p.data.flags.writeable, name
+            assert p.data.shape == seeded.params[name].data.shape, name
+            assert p.data.dtype == seeded.params[name].data.dtype, name
+        with pytest.raises(ValueError, match="read-only"):
+            shapes.w_out.data -= 1.0
+
+
 class TestSylCNNWidths:
     def test_d_hw_picks_the_nearest_depth_unit(self):
         # widths 1..6 take 21 depth units; 300 / 21 rounds to 14, so 294 wide
@@ -173,7 +233,12 @@ class TestBudget:
         with pytest.raises(BudgetError):
             check_budget(cfg, 100_000)
 
-    def test_train_rejects_oversized_model(self):
+    def test_train_rejects_oversized_model(self, monkeypatch):
+        # the budget is checked on a shape-only build, before any init draw
+        def no_init(*args, **kwargs):
+            raise AssertionError("the initializer ran before the budget check")
+
+        monkeypatch.setattr(training_mod, "uniform_init", no_init)
         vocabs, corpus = tiny_data()
         cfg = tiny_config(budget=100, budget_tolerance=0.05)
         with pytest.raises(BudgetError):
@@ -220,6 +285,17 @@ class TestInit:
                 assert np.abs(rest).max() < 0.05
             else:
                 assert np.abs(vals).max() < 0.05, name
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_lstm_params_draw_b_then_wx_then_wh(self, dtype):
+        wx, wh, b = T.lstm_params(3, 5, uniform_init(np.random.default_rng(4), 0.1, dtype))
+        rng = np.random.default_rng(4)
+        ref_b, ref_wx, ref_wh = (rng.uniform(-0.1, 0.1, size=shape).astype(dtype)
+                                 for shape in ((20,), (3, 20), (5, 20)))
+        ref_b[5:10] = 1.0
+        for got, ref in ((b, ref_b), (wx, ref_wx), (wh, ref_wh)):
+            assert got.data.dtype == dtype
+            assert got.data.tobytes() == ref.tobytes()
 
 
 class TestLrSchedule:
