@@ -119,8 +119,10 @@ class LanguageModel:
 
         Returns (loss, new_state).  ``targets`` is (batch, steps); sampling
         applies only in train mode with a sampler, whose ``sample_count``
-        must lie in (0, V).  Under the full softmax ``loss.meta`` is the
-        detached per-row NLL, time-major like ``embed_window``'s rows.
+        must lie in (0, V), and runs ``sampled_softmax_nll``.  Otherwise the
+        full softmax is the one op ``tensor.output_nll``, which never
+        records the logits, and ``loss.meta`` is the detached per-row NLL,
+        time-major like ``embed_window``'s rows.
         """
         h, new_state = self.hidden(word_ids, corpus, state, mode=mode, rng=rng)
         flat_targets = np.asarray(targets).T.reshape(-1)
@@ -128,13 +130,17 @@ class LanguageModel:
             loss = sampled_softmax_nll(h, self.w_out, self.b_out, flat_targets,
                                        sample_count, sampler, rng)
         else:
-            loss, nll = full_softmax_nll(self.logits(h), flat_targets)
-            loss.meta = nll
+            loss = T.output_nll(h, self.w_out, self.b_out, flat_targets)
         return loss, new_state
 
 
 def full_softmax_nll(logits: Tensor, targets: np.ndarray):
-    """Mean negative log-likelihood (natural log) plus each row's NLL."""
+    """Mean negative log-likelihood (natural log) plus each row's NLL.
+
+    ``evaluate_stream`` calls it once per window on that window's slice of
+    a block's logits.  ``LanguageModel.window_nll`` does not: it runs
+    ``tensor.output_nll``, the same arithmetic fused with the output layer.
+    """
     return T.softmax_xent(logits, targets)
 
 

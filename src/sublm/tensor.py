@@ -15,7 +15,8 @@ pooling, are one op (:func:`conv1d_max_over_time`), and so is a whole
 highway stack, gates and all (:func:`highway`).  Syl-Concat's zero-padded
 subword concatenation is one op (:func:`masked_concat`), and so is the
 learned attention of Syl-Avg-A/B, scores, masked softmax and weighted sum
-together (:func:`attention_pool`).
+together (:func:`attention_pool`).  The output layer and its loss, the
+logits exponentiated in place, are one op (:func:`output_nll`).
 
 Default precision is 64-bit; 32-bit is opt-in per tensor.  Reductions run in
 a fixed order, so results are bitwise reproducible for a fixed BLAS thread
@@ -185,17 +186,25 @@ def mul_scalar(a: Tensor, s) -> Tensor:
     return custom_op(a.data * s, "mul_scalar", (a,), lambda g: (g * s,))
 
 
+def _check_affine(name: str, xv: np.ndarray, wv: np.ndarray, bv: np.ndarray) -> None:
+    if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0]:
+        raise DimensionError(f"{name}: input {xv.shape} incompatible with weight {wv.shape}")
+    if bv.shape != (wv.shape[1],):
+        raise DimensionError(f"{name}: bias {bv.shape} incompatible with weight {wv.shape}")
+
+
+def _affine_grads(xv: np.ndarray, wv: np.ndarray, g: np.ndarray) -> tuple:
+    """The gradients of x @ w + b for x, w and b, given g = d/dy."""
+    return (g @ wv.T, xv.T @ g, g.sum(axis=0))
+
+
 def affine(x: Tensor, w: Tensor, b_vec: Tensor) -> Tensor:
     """y = x @ w + b_vec, bias broadcast over rows."""
     xv, wv, bv = x.data, w.data, b_vec.data
-    if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0]:
-        raise DimensionError(f"affine: input {xv.shape} incompatible with weight {wv.shape}")
-    if bv.shape != (wv.shape[1],):
-        raise DimensionError(f"affine: bias {bv.shape} incompatible with weight {wv.shape}")
+    _check_affine("affine", xv, wv, bv)
     y = xv @ wv
     y += bv
-    return custom_op(y, "affine", (x, w, b_vec),
-                     lambda g: (g @ wv.T, xv.T @ g, g.sum(axis=0)))
+    return custom_op(y, "affine", (x, w, b_vec), lambda g: _affine_grads(xv, wv, g))
 
 
 def _check_ids(name: str, table: Tensor, ids: np.ndarray) -> None:
@@ -285,6 +294,40 @@ def attention_pool(seq: Tensor, lengths: np.ndarray, bias: Tensor,
 # model-level operations
 
 
+def _check_targets(name: str, targets, m: int, v: int) -> np.ndarray:
+    """``targets`` flattened, one class id in [0, v) for each of m rows."""
+    targets = np.asarray(targets).reshape(-1)
+    if targets.shape[0] != m:
+        raise DimensionError(f"{name}: {targets.shape[0]} targets for {m} rows")
+    if targets.size and (targets.min() < 0 or targets.max() >= v):
+        raise IndexError(f"{name}: target out of range [0, {v})")
+    return targets
+
+
+def _softmax_rows(lv: np.ndarray, targets: np.ndarray, out: np.ndarray | None = None):
+    """Row-wise softmax pieces of the logits ``lv`` for integer ``targets``.
+
+    Writes ``e = exp(lv - row max)`` into ``out`` (a new array when None;
+    ``lv`` itself to overwrite the logits) and returns it with its row sums
+    ``z`` (m, 1) and each row's NLL ``log z + max - lv[target]``.
+    """
+    zmax = lv.max(axis=1, keepdims=True)
+    picked = lv[np.arange(lv.shape[0]), targets]
+    e = np.subtract(lv, zmax, out=out)
+    np.exp(e, out=e)
+    z = e.sum(axis=1, keepdims=True)
+    return e, z, np.log(z[:, 0]) + zmax[:, 0] - picked
+
+
+def _softmax_grad(e: np.ndarray, z: np.ndarray, targets: np.ndarray, g) -> np.ndarray:
+    """d(mean NLL)/d(logits) times ``g``, in a new array; ``e`` is left as it is."""
+    m = e.shape[0]
+    d = e / z
+    d[np.arange(m), targets] -= 1.0
+    d *= g / m
+    return d
+
+
 def softmax_xent(logits: Tensor, targets: np.ndarray) -> tuple[Tensor, np.ndarray]:
     """Mean cross-entropy of integer targets under row-wise softmax.
 
@@ -294,24 +337,32 @@ def softmax_xent(logits: Tensor, targets: np.ndarray) -> tuple[Tensor, np.ndarra
     lv = logits.data
     if lv.ndim != 2:
         raise DimensionError(f"softmax_xent: logits must be 2-D, got {lv.shape}")
-    targets = np.asarray(targets).reshape(-1)
-    m, v = lv.shape
-    if targets.shape[0] != m:
-        raise DimensionError(f"softmax_xent: {targets.shape[0]} targets for {m} rows")
-    if targets.size and (targets.min() < 0 or targets.max() >= v):
-        raise IndexError(f"softmax_xent: target out of range [0, {v})")
-    zmax = lv.max(axis=1, keepdims=True)
-    e = np.exp(lv - zmax)
-    z = e.sum(axis=1, keepdims=True)
-    rows = np.arange(m)
-    nll = np.log(z[:, 0]) + zmax[:, 0] - lv[rows, targets]
-    def bw(g):
-        d = e / z
-        d[rows, targets] -= 1.0
-        d *= g / m
-        return (d,)
-    loss = custom_op(np.asarray(nll.mean()), "softmax_xent", (logits,), bw)
+    targets = _check_targets("softmax_xent", targets, *lv.shape)
+    e, z, nll = _softmax_rows(lv, targets)
+    loss = custom_op(np.asarray(nll.mean()), "softmax_xent", (logits,),
+                     lambda g: (_softmax_grad(e, z, targets, g),))
     return loss, nll
+
+
+def output_nll(h: Tensor, w: Tensor, b: Tensor, targets: np.ndarray) -> Tensor:
+    """Mean cross-entropy of integer targets under softmax(h @ w + b), as one op.
+
+    The same numbers as ``softmax_xent(affine(h, w, b), targets)``, bitwise,
+    but the logits are never a recorded tensor: they are exponentiated in
+    place, so the forward keeps one (rows, V) buffer, and the backward
+    allocates one more and hands the three parents their gradients
+    directly.  ``meta`` holds each row's detached NLL.
+    """
+    hv, wv, bv = h.data, w.data, b.data
+    _check_affine("output_nll", hv, wv, bv)
+    targets = _check_targets("output_nll", targets, hv.shape[0], wv.shape[1])
+    lv = hv @ wv
+    lv += bv
+    e, z, nll = _softmax_rows(lv, targets, out=lv)
+    loss = custom_op(np.asarray(nll.mean()), "output_nll", (h, w, b),
+                     lambda g: _affine_grads(hv, wv, _softmax_grad(e, z, targets, g)))
+    loss.meta = nll
+    return loss
 
 
 def lstm_params(input_dim: int, hidden_dim: int, init) -> tuple[Tensor, Tensor, Tensor]:

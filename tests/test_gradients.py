@@ -138,6 +138,15 @@ def test_softmax_xent(seed):
     check_grads(lambda: T.softmax_xent(logits, targets)[0], {"logits": logits}, tol=1e-6)
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_output_nll(seed):
+    # targets in the first and the last column, and one class twice
+    rng = np.random.default_rng(seed)
+    h, w, b = t(rng, 5, 3), t(rng, 3, 7), t(rng, 7)
+    targets = np.array([0, 6, rng.integers(7), 0, rng.integers(7)])
+    check_grads(lambda: T.output_nll(h, w, b, targets), {"h": h, "w": w, "b": b}, tol=1e-6)
+
+
 @pytest.mark.parametrize("seed", SEEDS[:5])
 def test_dropout_with_fixed_mask(seed):
     # the lstm op's output dropout, with every lane live and with packed lanes
@@ -221,8 +230,8 @@ FD_TESTS = {
     "lstm": "test_gradients::test_lstm_cell_wrt_all_params",
     "masked_concat": "test_gradients::test_lookup_and_masked_ops",
     "mul_scalar": "test_gradients::test_elementwise_chain",
+    "output_nll": "test_gradients::test_output_nll",
     "sampled_softmax": "test_lm::TestSampledSoftmax::test_gradient_matches_fd_with_fixed_pool",
-    "softmax_xent": "test_gradients::test_softmax_xent",
     "weighted_sum_time": "test_gradients::test_lookup_and_masked_ops",
 }
 

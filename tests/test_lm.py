@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -193,8 +194,8 @@ def test_embed_window_composes_each_distinct_word_once(variant, rng, monkeypatch
 
 @pytest.mark.parametrize("variant", list(EMBED_DIMS))
 def test_train_window_records_the_nodes_of_an_eval_window(variant, rng):
-    # dropout lives inside each lstm op; the sampled softmax is one op where
-    # the full one is an affine map and softmax_xent
+    # dropout lives inside each lstm op; the sampled and the full softmax
+    # are one op each
     init = uniform_init(rng, 0.3)
     comp = build_composer(CompositionConfig(variant=variant, n=N, **EMBED_DIMS[variant]),
                           W_VOCAB, S_VOCAB, init=init)
@@ -209,7 +210,50 @@ def test_train_window_records_the_nodes_of_an_eval_window(variant, rng):
 
     sampled = dict(sampler=UniformSampler(W_VOCAB), sample_count=3)
     assert nodes("train") == nodes("eval")
-    assert nodes("train", **sampled) == nodes("eval") - 1
+    assert nodes("train", **sampled) == nodes("eval")
+
+
+@pytest.mark.parametrize("mode", ["eval", "train"])
+def test_window_backward_twice_doubles_every_gradient(mode, rng):
+    # the backward must not consume what the forward saved
+    model = toy_model(rng, dropout=0.5)
+    ids = rng.integers(0, W_VOCAB, size=(2, 4))
+    loss, _ = model.window_nll(ids, ids, toy_corpus(rng), model.zero_state(2), mode=mode,
+                               rng=np.random.default_rng(0))
+    T.backward(loss)
+    once = {name: p.grad.copy() for name, p in model.params.items()}
+    T.backward(loss)
+    for name, g in once.items():
+        assert np.array_equal(model.params[name].grad, 2 * g), name
+
+
+def test_full_softmax_window_keeps_about_two_logit_buffers(rng):
+    """A full-softmax training window and its backward, under tracemalloc.
+
+    At a small d_lm and a large V the (rows, V) logits dominate.  The
+    output op keeps one such buffer through the forward and allocates one
+    more in its backward; recording the logits as a node of their own
+    would add about two more.
+    """
+    v, batch, steps = 4000, 4, 10
+    init = uniform_init(rng, 0.1)
+    comp = build_composer(CompositionConfig(variant="word-direct", d_w=4), v, 1, init=init)
+    model = LanguageModel(comp, d_lm=8, vocab_size=v, dropout_rate=0.5, init=init)
+    corpus = EncodedCorpus(streams={}, subword_rows=np.zeros((v, 1), dtype=np.int64),
+                           row_lengths=np.ones(v, dtype=np.int64))
+    ids, targets = rng.integers(0, v, size=(2, batch, steps))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        loss, _ = model.window_nll(ids, targets, corpus, model.zero_state(batch),
+                                   mode="train", rng=np.random.default_rng(0))
+        T.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loss.data.dtype == np.float64
+    assert peak - start <= 2.5 * batch * steps * v * 8
 
 
 class TestPerplexity:

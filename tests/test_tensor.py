@@ -249,6 +249,57 @@ class TestSoftmaxXent:
             T.softmax_xent(t(np.zeros((2, 5))), np.array([0, 5]))
 
 
+class TestOutputNll:
+    def _instance(self, rng, dtype, m=6, d=4, v=9):
+        h, w, b = (T.Tensor(rng.normal(size=shape), dtype=dtype)
+                   for shape in ((m, d), (d, v), (v,)))
+        targets = np.array([0, v - 1, 3, 3, 0, v - 1])[:m]
+        return h, w, b, targets
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal_to_affine_then_softmax_xent(self, rng, dtype):
+        h, w, b, targets = self._instance(rng, dtype)
+        fused = T.output_nll(h, w, b, targets)
+        T.backward(fused)
+        fused_grads = [p.grad for p in (h, w, b)]
+        h.grad = w.grad = b.grad = None
+        loss, nll = T.softmax_xent(T.affine(h, w, b), targets)
+        T.backward(loss)
+        assert fused.data.dtype == fused.meta.dtype == dtype
+        assert np.array_equal(fused.data, loss.data)
+        assert np.array_equal(fused.meta, nll)
+        for got, p in zip(fused_grads, (h, w, b)):
+            assert got.dtype == dtype and np.array_equal(got, p.grad)
+
+    def test_repeated_backward_adds_the_same_gradients(self, rng):
+        h, w, b, targets = self._instance(rng, np.float64)
+        loss = T.output_nll(h, w, b, targets)
+        T.backward(loss)
+        once = [p.grad.copy() for p in (h, w, b)]
+        T.backward(loss)
+        for g, p in zip(once, (h, w, b)):
+            assert np.array_equal(p.grad, 2 * g)
+
+    @pytest.mark.parametrize("shapes", [((6,), (4, 9), (9,)), ((6, 4), (5, 9), (9,)),
+                                        ((6, 4), (4, 9), (8,)), ((6, 4), (4, 9, 1), (9,))])
+    def test_shape_mismatch(self, shapes):
+        h, w, b = (t(np.zeros(shape)) for shape in shapes)
+        with pytest.raises(DimensionError):
+            T.output_nll(h, w, b, np.zeros(6, dtype=np.int64))
+
+    def test_target_count_mismatch(self, rng):
+        h, w, b, targets = self._instance(rng, np.float64)
+        with pytest.raises(DimensionError):
+            T.output_nll(h, w, b, targets[:-1])
+
+    @pytest.mark.parametrize("bad", [-1, 9])
+    def test_target_out_of_range(self, rng, bad):
+        h, w, b, targets = self._instance(rng, np.float64)
+        targets[2] = bad
+        with pytest.raises(IndexError):
+            T.output_nll(h, w, b, targets)
+
+
 class TestBackward:
     def test_sum_gives_ones(self, rng):
         x = t(rng.normal(size=(3, 4)))
