@@ -19,6 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .config import TrainConfig
+from .corpus import Vocabularies
 from .errors import ConfigError
 from .tensor import Tensor
 
@@ -27,73 +29,88 @@ VARIANTS = ("word-direct", "syl-lstm", "syl-cnn", "syl-sum", "syl-avg",
 LINEAR_VARIANTS = ("syl-sum", "syl-avg", "syl-avg-a", "syl-avg-b")
 
 
-@dataclass
-class CompositionConfig:
-    """Dimensions of one composition variant, copied from the training config.
+@dataclass(frozen=True)
+class ModelSizes:
+    """Vocabulary-derived dimensions a model build needs."""
 
-    ``d_s``: subword embedding size.  ``d_w``: word vector size where it is a
-    free choice (word-direct lookup width, syl-lstm hidden size).  ``d_hw``:
-    highway width for syl-concat; the linear family composes in subword
-    space and ignores it.  syl-cnn has banks of widths 1..``cnn_max_width``
-    with ``cnn_depth_unit`` * width filters each (Kim et al., 2016); without
-    an explicit unit, ``d_hw`` picks the unit whose total width comes
-    nearest, and with one, a nonzero ``d_hw`` must equal that total.
+    vocab_size: int
+    subword_vocab_size: int
+    max_subwords: int
+
+    @staticmethod
+    def from_vocabs(vocabs: Vocabularies) -> "ModelSizes":
+        return ModelSizes(vocabs.word_count, vocabs.subword_count, vocabs.n)
+
+    @staticmethod
+    def from_config(config: TrainConfig) -> "ModelSizes":
+        if config.vocab_size < 1 or config.subword_vocab_size < 1:
+            raise ConfigError(
+                "vocab_size and subword_vocab_size are required when the "
+                "config names no vocab_dir or train corpus")
+        return ModelSizes(config.vocab_size, config.subword_vocab_size,
+                          config.max_subwords)
+
+
+def banks(config: TrainConfig) -> tuple[tuple[int, int], ...]:
+    """syl-cnn's (width, depth) per convolution bank.
+
+    Widths run 1..``cnn_max_width`` with ``cnn_depth_unit`` * width filters
+    each (Kim et al., 2016).  Without an explicit unit, ``d_hw`` picks the
+    unit whose total width comes nearest, so a sampled d_hw reaches syl-cnn
+    as the target width of its banks.
     """
+    unit = config.cnn_depth_unit
+    if not unit and config.cnn_max_width:
+        triangle = config.cnn_max_width * (config.cnn_max_width + 1) // 2
+        unit = max(1, round(config.d_hw / triangle))
+    return tuple((l, unit * l) for l in range(1, config.cnn_max_width + 1))
 
-    variant: str
-    d_s: int = 0
-    d_w: int = 0
-    d_hw: int = 0
-    highway_layers: int = 2
-    cnn_max_width: int = 0
-    cnn_depth_unit: int = 0
-    n: int = 0
 
-    def banks(self) -> tuple[tuple[int, int], ...]:
-        """syl-cnn's (width, depth) per convolution bank."""
-        unit = self.cnn_depth_unit
-        if not unit and self.cnn_max_width:
-            triangle = self.cnn_max_width * (self.cnn_max_width + 1) // 2
-            unit = max(1, round(self.d_hw / triangle))
-        return tuple((l, unit * l) for l in range(1, self.cnn_max_width + 1))
+def check_dims(config: TrainConfig, n: int) -> None:
+    """Reject composition dimensions ``config``'s variant cannot build at
+    ``n`` subwords per word; with an explicit cnn unit, a nonzero ``d_hw``
+    must equal the banks' total width."""
+    if config.variant not in VARIANTS:
+        raise ConfigError(f"unknown composition variant {config.variant!r}")
+    if config.highway_layers < 0:
+        raise ConfigError(f"highway_layers must be >= 0, got {config.highway_layers}")
+    if config.variant == "word-direct":
+        if config.d_w < 1:
+            raise ConfigError("word-direct needs d_w >= 1")
+        return
+    if config.d_s < 1:
+        raise ConfigError(f"{config.variant} needs d_s >= 1")
+    if n < 1:
+        raise ConfigError(f"{config.variant} needs max_subwords (n) >= 1, got {n}")
+    if config.variant == "syl-lstm" and config.d_w < 1:
+        raise ConfigError("syl-lstm needs d_w >= 1 (its hidden size)")
+    if config.variant == "syl-cnn":
+        if config.cnn_max_width < 1 or config.cnn_depth_unit < 0 or config.d_hw < 0:
+            raise ConfigError("syl-cnn needs cnn_max_width >= 1, cnn_depth_unit "
+                              ">= 0 and d_hw >= 0")
+        if config.cnn_max_width > n:
+            raise ConfigError(f"filter width {config.cnn_max_width} exceeds max "
+                              f"subwords per word n={n}")
+        derived = output_dim(config)
+        if config.cnn_depth_unit and config.d_hw and config.d_hw != derived:
+            raise ConfigError(
+                f"syl-cnn d_hw={config.d_hw} but the filter banks give {derived}")
+    if config.variant == "syl-concat" and config.d_hw < 1:
+        raise ConfigError("syl-concat needs d_hw >= 1")
 
-    def validate(self) -> None:
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown composition variant {self.variant!r}")
-        if self.highway_layers < 0:
-            raise ConfigError(f"highway_layers must be >= 0, got {self.highway_layers}")
-        if self.variant == "word-direct":
-            if self.d_w < 1:
-                raise ConfigError("word-direct needs d_w >= 1")
-            return
-        if self.d_s < 1:
-            raise ConfigError(f"{self.variant} needs d_s >= 1")
-        if self.n < 1:
-            raise ConfigError(f"{self.variant} needs max_subwords (n) >= 1, got {self.n}")
-        if self.variant == "syl-lstm" and self.d_w < 1:
-            raise ConfigError("syl-lstm needs d_w >= 1 (its hidden size)")
-        if self.variant == "syl-cnn":
-            if self.cnn_max_width < 1 or self.cnn_depth_unit < 0 or self.d_hw < 0:
-                raise ConfigError("syl-cnn needs cnn_max_width >= 1, cnn_depth_unit "
-                                  ">= 0 and d_hw >= 0")
-            if self.cnn_max_width > self.n:
-                raise ConfigError(f"filter width {self.cnn_max_width} exceeds max "
-                                  f"subwords per word n={self.n}")
-            derived = self.output_dim()
-            if self.cnn_depth_unit and self.d_hw and self.d_hw != derived:
-                raise ConfigError(
-                    f"syl-cnn d_hw={self.d_hw} but the filter banks give {derived}")
-        if self.variant == "syl-concat" and self.d_hw < 1:
-            raise ConfigError("syl-concat needs d_hw >= 1")
 
-    def output_dim(self) -> int:
-        if self.variant in ("word-direct", "syl-lstm"):
-            return self.d_w
-        if self.variant == "syl-cnn":
-            return sum(k for _, k in self.banks())
-        if self.variant in LINEAR_VARIANTS:
-            return self.d_s  # the combination lives in subword space
-        return self.d_hw  # syl-concat, after projection
+def output_dim(config: TrainConfig) -> int:
+    """The composed word vector's width: ``d_w`` for word-direct and
+    syl-lstm, the banks' total for syl-cnn, ``d_s`` for the linear family
+    (it composes in subword space and ignores ``d_hw``), and ``d_hw`` for
+    syl-concat, after its projection."""
+    if config.variant in ("word-direct", "syl-lstm"):
+        return config.d_w
+    if config.variant == "syl-cnn":
+        return sum(k for _, k in banks(config))
+    if config.variant in LINEAR_VARIANTS:
+        return config.d_s
+    return config.d_hw
 
 
 def uniform_init(rng: np.random.Generator, init_range: float, dtype=np.float64):
@@ -135,10 +152,11 @@ class HighwayStack:
 class Composer:
     """Base for all composition variants; subclasses fill ``params``."""
 
-    def __init__(self, config: CompositionConfig):
-        config.validate()  # the only validation a build runs
+    def __init__(self, config: TrainConfig, sizes: ModelSizes):
+        check_dims(config, sizes.max_subwords)  # the only validation a build runs
         self.config = config
-        self.out_dim = config.output_dim()
+        self.n = sizes.max_subwords
+        self.out_dim = output_dim(config)
         self.params: dict[str, Tensor] = {}
 
     def __call__(self, word_ids: np.ndarray, rows: np.ndarray,
@@ -149,9 +167,9 @@ class Composer:
 class WordDirect(Composer):
     """Baseline: direct row lookup in a word embedding matrix, no highway."""
 
-    def __init__(self, config, vocab_size, subword_vocab_size, init):
-        super().__init__(config)
-        self.e_w = Tensor(init((vocab_size, config.d_w)))
+    def __init__(self, config, sizes, init):
+        super().__init__(config, sizes)
+        self.e_w = Tensor(init((sizes.vocab_size, config.d_w)))
         self.params["e_w"] = self.e_w
 
     def __call__(self, word_ids, rows, lengths):
@@ -168,9 +186,9 @@ class SylLSTM(Composer):
     caller's order.
     """
 
-    def __init__(self, config, vocab_size, subword_vocab_size, init):
-        super().__init__(config)
-        self.e_s = Tensor(init((subword_vocab_size, config.d_s)))
+    def __init__(self, config, sizes, init):
+        super().__init__(config, sizes)
+        self.e_s = Tensor(init((sizes.subword_vocab_size, config.d_s)))
         self.cell = T.lstm_params(config.d_s, config.d_w, init)
         self.params["e_s"] = self.e_s
         self.params.update(zip(("cell.wx", "cell.wh", "cell.b"), self.cell))
@@ -194,12 +212,12 @@ class SylLSTM(Composer):
 class SylCNN(Composer):
     """Max-over-time tanh convolutions over subword vectors, then highway."""
 
-    def __init__(self, config, vocab_size, subword_vocab_size, init):
-        super().__init__(config)
-        self.e_s = Tensor(init((subword_vocab_size, config.d_s)))
+    def __init__(self, config, sizes, init):
+        super().__init__(config, sizes)
+        self.e_s = Tensor(init((sizes.subword_vocab_size, config.d_s)))
         self.params["e_s"] = self.e_s
         self.banks = []
-        for width, depth in config.banks():
+        for width, depth in banks(config):
             w = Tensor(init((width * config.d_s, depth)))
             b = Tensor(init((depth,)))
             self.params[f"conv{width}.w"] = w
@@ -226,41 +244,34 @@ class SylLinear(Composer):
     ones with :func:`tensor.weighted_sum_time`.
     """
 
-    def __init__(self, config, vocab_size, subword_vocab_size, init):
-        super().__init__(config)
-        self.e_s = Tensor(init((subword_vocab_size, config.d_s)))
+    def __init__(self, config, sizes, init):
+        super().__init__(config, sizes)
+        self.e_s = Tensor(init((sizes.subword_vocab_size, config.d_s)))
         self.params["e_s"] = self.e_s
         if config.variant == "syl-avg-a":
-            self.a = Tensor(init((config.n,)))
+            self.a = Tensor(init((self.n,)))
             self.params["a"] = self.a
         elif config.variant == "syl-avg-b":
-            self.a_mat = Tensor(init((subword_vocab_size, config.n)))
-            self.b_vec = Tensor(init((config.n,)))
+            self.a_mat = Tensor(init((sizes.subword_vocab_size, self.n)))
+            self.b_vec = Tensor(init((self.n,)))
             self.params["a_mat"] = self.a_mat
             self.params["b_vec"] = self.b_vec
         self.highway = HighwayStack(config.d_s, config.highway_layers, init)
         self.params.update(self.highway.params)
 
-    def attention(self, rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        """The (m, width) alpha weights of one batch, as a plain array."""
-        lengths = np.asarray(lengths)
-        if self.config.variant in ("syl-avg-a", "syl-avg-b"):
-            with T.no_grad():
-                return self.combine(rows, lengths).meta
-        mask = (np.arange(np.shape(rows)[1]) < lengths[:, None]).astype(self.e_s.data.dtype)
-        if self.config.variant == "syl-sum":
-            return mask
-        return mask / lengths[:, None].astype(mask.dtype)
-
     def combine(self, rows, lengths) -> Tensor:
-        """The linear combination before the highway stack."""
-        rows = np.asarray(rows)
+        """The linear combination before the highway stack; ``meta`` holds
+        the (m, width) alpha weights."""
+        rows, lengths = np.asarray(rows), np.asarray(lengths)
         seq = T.lookup(self.e_s, rows)
         if self.config.variant == "syl-avg-a":
             return T.attention_pool(seq, lengths, self.a)
         if self.config.variant == "syl-avg-b":
             return T.attention_pool(seq, lengths, self.b_vec, self.a_mat, rows)
-        return T.weighted_sum_time(seq, self.attention(rows, lengths))
+        alpha = (np.arange(rows.shape[1]) < lengths[:, None]).astype(self.e_s.data.dtype)
+        if self.config.variant == "syl-avg":
+            alpha = alpha / lengths[:, None].astype(alpha.dtype)
+        return T.weighted_sum_time(seq, alpha)
 
     def __call__(self, word_ids, rows, lengths):
         return self.highway(self.combine(rows, lengths))
@@ -271,10 +282,10 @@ class SylConcat(Composer):
     project to the highway width, then highway: three recorded ops,
     :func:`tensor.masked_concat`, ``affine`` and :func:`tensor.highway`."""
 
-    def __init__(self, config, vocab_size, subword_vocab_size, init):
-        super().__init__(config)
-        n, d_s, d_hw = config.n, config.d_s, config.d_hw
-        self.e_s = Tensor(init((subword_vocab_size, d_s)))
+    def __init__(self, config, sizes, init):
+        super().__init__(config, sizes)
+        n, d_s, d_hw = self.n, config.d_s, config.d_hw
+        self.e_s = Tensor(init((sizes.subword_vocab_size, d_s)))
         self.proj_w = Tensor(init((n * d_s, d_hw)))
         self.proj_b = Tensor(init((d_hw,)))
         self.params.update({"e_s": self.e_s, "proj.w": self.proj_w,
@@ -285,9 +296,9 @@ class SylConcat(Composer):
     def concat_vector(self, rows, lengths) -> Tensor:
         """The zero-padded concatenation before projection, width n*d_s."""
         width = np.shape(rows)[1]
-        if width != self.config.n:
+        if width != self.n:
             raise ConfigError(
-                f"syl-concat was built for n={self.config.n}, got rows of width {width}")
+                f"syl-concat was built for n={self.n}, got rows of width {width}")
         return T.masked_concat(self.e_s, rows, lengths)
 
     def __call__(self, word_ids, rows, lengths):
@@ -295,12 +306,11 @@ class SylConcat(Composer):
         return self.highway(T.affine(x, self.proj_w, self.proj_b))
 
 
-def build_composer(config: CompositionConfig, vocab_size: int,
-                   subword_vocab_size: int, init=zeros_init) -> Composer:
+def build_composer(config: TrainConfig, sizes: ModelSizes, init=zeros_init) -> Composer:
     cls = {
         "word-direct": WordDirect,
         "syl-lstm": SylLSTM,
         "syl-cnn": SylCNN,
         "syl-concat": SylConcat,
     }.get(config.variant, SylLinear)
-    return cls(config, vocab_size, subword_vocab_size, init)
+    return cls(config, sizes, init)

@@ -23,14 +23,15 @@ SCALE_DEFAULTS = {
 class TrainConfig:
     """Everything a training run needs, checkpointable as a dict."""
 
+    # composition dimensions; composition.check_dims says which each variant needs
     variant: str = "syl-concat"
-    d_s: int = 0
-    d_w: int = 0
-    d_hw: int = 0
-    d_lm: int = 0
+    d_s: int = 0                 # subword embedding size
+    d_w: int = 0                 # word-direct lookup width, syl-lstm hidden size
+    d_hw: int = 0                # syl-concat highway width; syl-cnn's target bank width
+    d_lm: int = 0                # word-LSTM width
     highway_layers: int = 2
-    cnn_max_width: int = 0
-    cnn_depth_unit: int = 0
+    cnn_max_width: int = 0       # syl-cnn banks of widths 1..cnn_max_width,
+    cnn_depth_unit: int = 0      # each with cnn_depth_unit * width filters
 
     scale: str = "data-s"
     max_epochs: int = 0          # 0: take the scale default

@@ -238,14 +238,18 @@ def masked_concat(table: Tensor, rows: np.ndarray, lengths: np.ndarray) -> Tenso
 
 
 def weighted_sum_time(seq: Tensor, alpha: np.ndarray) -> Tensor:
-    """out[i] = sum_t alpha[i, t] * seq[i, t, :] for fixed weights (or masks)."""
+    """out[i] = sum_t alpha[i, t] * seq[i, t, :] for fixed weights (or masks).
+
+    ``meta`` holds alpha, as :func:`attention_pool`'s does.
+    """
     sv = seq.data
     av = np.asarray(alpha)
     if av.shape != sv.shape[:2]:
         raise DimensionError(f"weighted_sum_time: weights {av.shape} vs sequence {sv.shape}")
-    out = np.einsum("mn,mnd->md", av, sv)
-    return custom_op(out, "weighted_sum_time", (seq,),
-                     lambda g: (av[:, :, None] * g[:, None, :],))
+    out = custom_op(np.einsum("mn,mnd->md", av, sv), "weighted_sum_time", (seq,),
+                    lambda g: (av[:, :, None] * g[:, None, :],))
+    out.meta = av
+    return out
 
 
 def attention_pool(seq: Tensor, lengths: np.ndarray, bias: Tensor,

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import Checkpoint
-from .composition import CompositionConfig, build_composer, uniform_init
+from .composition import ModelSizes, build_composer, uniform_init
 from .config import TrainConfig
 from .corpus import EncodedCorpus, Vocabularies, batch_stream, check_eval_stream
 from .errors import BudgetError, ConfigError, NonFiniteGradientError
@@ -25,41 +25,6 @@ from .lm import (LanguageModel, LogUniformSampler, _ppl, perplexity,
                  sample_count_for)
 
 log = logging.getLogger("sublm")
-
-
-@dataclass(frozen=True)
-class ModelSizes:
-    """Vocabulary-derived dimensions a model build needs."""
-
-    vocab_size: int
-    subword_vocab_size: int
-    max_subwords: int
-
-    @staticmethod
-    def from_vocabs(vocabs: Vocabularies) -> "ModelSizes":
-        return ModelSizes(vocabs.word_count, vocabs.subword_count, vocabs.n)
-
-    @staticmethod
-    def from_config(config: TrainConfig) -> "ModelSizes":
-        if config.vocab_size < 1 or config.subword_vocab_size < 1:
-            raise ConfigError(
-                "vocab_size and subword_vocab_size are required when the "
-                "config names no vocab_dir or train corpus")
-        return ModelSizes(config.vocab_size, config.subword_vocab_size,
-                          config.max_subwords)
-
-
-def composition_config(config: TrainConfig, sizes: ModelSizes) -> CompositionConfig:
-    """The composition fields of a training config, plus the vocabulary's n.
-
-    The composition config derives everything else itself (see
-    :class:`CompositionConfig`), so a sampled d_hw reaches syl-cnn as the
-    target width of its filter banks.
-    """
-    return CompositionConfig(
-        variant=config.variant, d_s=config.d_s, d_w=config.d_w, d_hw=config.d_hw,
-        highway_layers=config.highway_layers, cnn_max_width=config.cnn_max_width,
-        cnn_depth_unit=config.cnn_depth_unit, n=sizes.max_subwords)
 
 
 def build_model(config: TrainConfig, sizes: ModelSizes,
@@ -73,8 +38,7 @@ def build_model(config: TrainConfig, sizes: ModelSizes,
     dtype = np.float64 if config.precision == "f64" else np.float32
     init = (uniform_init(rng, config.init_range, dtype) if rng is not None
             else lambda shape: np.broadcast_to(np.zeros((), dtype), shape))
-    composer = build_composer(composition_config(config, sizes), sizes.vocab_size,
-                              sizes.subword_vocab_size, init=init)
+    composer = build_composer(config, sizes, init=init)
     if config.d_lm < 1:
         raise ConfigError("d_lm must be positive")
     return LanguageModel(composer, d_lm=config.d_lm, vocab_size=sizes.vocab_size,
@@ -126,19 +90,15 @@ def next_lr(lr: float, val_ppl: float, best_ppl: float) -> float:
     return lr if val_ppl < best_ppl else lr * 0.5
 
 
-def _checkpoint(config, vocabs, epoch, best_val, arrays) -> Checkpoint:
-    """``arrays`` must be private copies: the checkpoint keeps them as they are."""
-    return Checkpoint(config=config.to_dict(), vocab_hashes=vocabs.hashes(),
-                      epoch=epoch, best_val_ppl=best_val, arrays=arrays)
-
-
 def train(config: TrainConfig, vocabs: Vocabularies, corpus: EncodedCorpus,
           log_line=None) -> Checkpoint:
     """Run the full recipe and return the best-on-validation checkpoint.
 
     Per epoch one `epoch<TAB>lr<TAB>train_ppl<TAB>val_ppl` line goes to
     ``log_line``.  On divergence (non-finite loss or gradient) training
-    aborts and the last good checkpoint is returned.
+    aborts and the last good checkpoint is returned.  When no epoch improved,
+    that is epoch 0 with the initial arrays, drawn again from the seed:
+    parameters are copied only when an epoch improves.
     """
     sizes = ModelSizes.from_vocabs(vocabs)
     check_budget(config, count_parameters(build_model(config, sizes)))
@@ -161,7 +121,7 @@ def train(config: TrainConfig, vocabs: Vocabularies, corpus: EncodedCorpus,
     lr = config.lr
     best_val = math.inf
     best_epoch = 0
-    best_arrays = {k: v.data.copy() for k, v in model.params.items()}
+    best_arrays = None
 
     for epoch in range(1, config.max_epochs + 1):
         state = model.zero_state(config.batch_size)
@@ -196,7 +156,7 @@ def train(config: TrainConfig, vocabs: Vocabularies, corpus: EncodedCorpus,
         except NonFiniteGradientError as err:
             log.warning("training diverged at epoch %d (%s); "
                         "returning the last good checkpoint", epoch, err)
-            return _checkpoint(config, vocabs, best_epoch, best_val, best_arrays)
+            break
 
         train_ppl = _ppl(total_nll, total_tokens)
         if valid_stream is not None:
@@ -212,7 +172,11 @@ def train(config: TrainConfig, vocabs: Vocabularies, corpus: EncodedCorpus,
             best_arrays = {k: v.data.copy() for k, v in model.params.items()}
         lr = new_lr
 
-    return _checkpoint(config, vocabs, best_epoch, best_val, best_arrays)
+    if best_arrays is None:
+        initial = build_model(config, sizes, rng=np.random.default_rng(config.seed))
+        best_arrays = {k: v.data for k, v in initial.params.items()}
+    return Checkpoint(config=config.to_dict(), vocab_hashes=vocabs.hashes(),
+                      epoch=best_epoch, best_val_ppl=best_val, arrays=best_arrays)
 
 
 def model_from_checkpoint(ckpt: Checkpoint, sizes: ModelSizes):

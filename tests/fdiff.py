@@ -74,17 +74,11 @@ def fd_margin(loss: T.Tensor) -> float:
     exceeds the step size.
     """
     margin = np.inf
-    stack, seen = [loss], set()
-    while stack:
-        node = stack.pop()
-        if node.node_id in seen or node._backward is None:
-            continue
-        seen.add(node.node_id)
+    for node in T.recorded(loss):
         if node.op == "highway":
             margin = min(margin, highway_relu_gap(node))
         elif node.op == "conv1d_max_over_time":
             margin = min(margin, conv_pool_gap(node))
-        stack.extend(node._parents)
     return margin
 
 

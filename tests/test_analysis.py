@@ -8,7 +8,8 @@ from sublm.analysis import (TokenRecord, default_freq_bins, dump_records,
                             ppl_by_frequency, records_from_eval,
                             shared_errors, shared_errors_table,
                             vocabulary_embeddings)
-from sublm.composition import CompositionConfig, build_composer, uniform_init
+from sublm.composition import ModelSizes, build_composer, uniform_init
+from sublm.config import TrainConfig
 from sublm.corpus import EncodedCorpus, build_vocabs, encode_corpus
 from sublm.errors import ConfigError
 from sublm.lm import LanguageModel, perplexity
@@ -185,10 +186,8 @@ class TestEvalReport:
         text = "aa bb cc dd aa bb\ncc dd aa bb cc dd\n" * 4
         vocabs = build_vocabs(text, Segmenter("chars"))
         corpus = encode_corpus({"test": text}, vocabs)
-        comp = build_composer(
-            CompositionConfig(variant="syl-sum", d_s=5, n=vocabs.n),
-            vocabs.word_count, vocabs.subword_count,
-            init=uniform_init(rng, 0.3))
+        comp = build_composer(TrainConfig(variant="syl-sum", d_s=5),
+                              ModelSizes.from_vocabs(vocabs), init=uniform_init(rng, 0.3))
         model = LanguageModel(comp, d_lm=6, vocab_size=vocabs.word_count,
                               dropout_rate=0.0, init=uniform_init(rng, 0.3))
         return model, vocabs, corpus

@@ -121,6 +121,15 @@ class TestParams:
         count = int(capsys.readouterr().out.split("\t")[1])
         assert abs(count - 13e6) < 0.1 * 13e6
 
+    @pytest.mark.parametrize("name, count", [("lstm-word-5m", 5302000),
+                                             ("syl-concat-13m", 13323893),
+                                             ("syl-concat-5m", 5233900)])
+    def test_shipped_config_counts_are_pinned(self, capsys, name, count):
+        # a change to any model build that moves a bundled config's size shows here
+        cfg = os.path.join(REPO, "configs", f"{name}.cfg")
+        assert run(["params", "--config", cfg]) == 0
+        assert capsys.readouterr().out == f"params\t{count}\n"
+
     @pytest.mark.parametrize("variant, code", [("syl-concat", 4), ("word-direct", 0)])
     def test_without_max_subwords(self, tmp_path, capsys, variant, code):
         cfg = tmp_path / "no-n.cfg"

@@ -4,8 +4,9 @@ import pytest
 from fdiff import check_grads, fd_margin, safe_instance, scalar_loss
 from lstm_reference import lstm_step, lstm_steps
 from sublm import tensor as T
-from sublm.composition import (CompositionConfig, HighwayStack, build_composer,
-                               uniform_init, zeros_init)
+from sublm.composition import (HighwayStack, ModelSizes, build_composer, check_dims,
+                               output_dim, uniform_init, zeros_init)
+from sublm.config import TrainConfig
 from sublm.errors import ConfigError
 
 S_VOCAB = 9
@@ -13,7 +14,7 @@ W_VOCAB = 7
 
 
 def make(variant, rng=None, n=4, d_s=3, **kw):
-    cfg_kw = dict(variant=variant, d_s=d_s, n=n)
+    cfg_kw = dict(variant=variant, d_s=d_s)
     if variant == "word-direct":
         cfg_kw = dict(variant=variant, d_w=kw.pop("d_w", 5))
     elif variant == "syl-lstm":
@@ -24,9 +25,8 @@ def make(variant, rng=None, n=4, d_s=3, **kw):
     elif variant == "syl-concat":
         cfg_kw["d_hw"] = kw.pop("d_hw", 5)
     cfg_kw.update(kw)
-    config = CompositionConfig(**cfg_kw)
     init = zeros_init if rng is None else uniform_init(rng, 0.35)
-    return build_composer(config, W_VOCAB, S_VOCAB, init=init)
+    return build_composer(TrainConfig(**cfg_kw), ModelSizes(W_VOCAB, S_VOCAB, n), init=init)
 
 
 def random_batch(rng, m=3, n=4):
@@ -47,32 +47,29 @@ class TestConfig:
     def test_cnn_width_table(self):
         # widths [1..L] with depths [c*l] give d_hw = c * (1 + ... + L)
         for L, c, want in [(3, 60, 360), (2, 120, 360), (4, 35, 350)]:
-            cfg = CompositionConfig(variant="syl-cnn", d_s=50, n=8,
-                                    cnn_max_width=L, cnn_depth_unit=c)
-            assert cfg.output_dim() == want
+            cfg = TrainConfig(variant="syl-cnn", d_s=50, cnn_max_width=L, cnn_depth_unit=c)
+            assert output_dim(cfg) == want
 
     def test_cnn_width_exceeding_n_rejected(self):
-        cfg = CompositionConfig(variant="syl-cnn", d_s=4, n=2,
-                                cnn_max_width=3, cnn_depth_unit=2)
+        cfg = TrainConfig(variant="syl-cnn", d_s=4, cnn_max_width=3, cnn_depth_unit=2)
         with pytest.raises(ConfigError):
-            cfg.validate()
+            check_dims(cfg, 2)
 
     def test_linear_output_is_subword_dim(self):
-        cfg = CompositionConfig(variant="syl-sum", d_s=11, n=3)
-        assert cfg.output_dim() == 11
+        cfg = TrainConfig(variant="syl-sum", d_s=11)
+        assert output_dim(cfg) == 11
 
     def test_concat_needs_d_hw(self):
         with pytest.raises(ConfigError):
-            CompositionConfig(variant="syl-concat", d_s=4, n=3).validate()
+            check_dims(TrainConfig(variant="syl-concat", d_s=4), 3)
 
     def test_unknown_variant(self):
         with pytest.raises(ConfigError):
-            CompositionConfig(variant="syl-bpe", d_s=4, n=3).validate()
+            check_dims(TrainConfig(variant="syl-bpe", d_s=4), 3)
 
     def test_explicit_banks(self):
-        cfg = CompositionConfig(variant="syl-cnn", d_s=4, n=6,
-                                cnn_max_width=1, cnn_depth_unit=35)
-        assert cfg.output_dim() == 35
+        cfg = TrainConfig(variant="syl-cnn", d_s=4, cnn_max_width=1, cnn_depth_unit=35)
+        assert output_dim(cfg) == 35
 
 
 class TestHighway:
@@ -236,14 +233,16 @@ class TestLinearFamily:
     def test_weights_sum_to_one(self, variant, rng):
         comp = make(variant, rng)
         _, rows, lengths = random_batch(rng)
-        alpha = comp.attention(rows, lengths)
+        with T.no_grad():
+            alpha = comp.combine(rows, lengths).meta
         assert isinstance(alpha, np.ndarray)
         assert np.abs(alpha.sum(axis=1) - 1.0).max() < 1e-12
 
     def test_sum_weights_are_ones_on_valid(self, rng):
         comp = make("syl-sum", rng)
         _, rows, lengths = random_batch(rng)
-        alpha = comp.attention(rows, lengths)
+        with T.no_grad():
+            alpha = comp.combine(rows, lengths).meta
         assert np.array_equal(alpha.sum(axis=1), lengths.astype(float))
 
     def test_sum_permutation_invariance_pre_highway(self, rng):

@@ -13,9 +13,10 @@ import pytest
 
 from fdiff import check_grads, numeric_grad, rel_err, safe_instance, scalar_loss
 from sublm import tensor as T
-from sublm.composition import CompositionConfig, build_composer, uniform_init
+from sublm.composition import build_composer, uniform_init
+from sublm.config import TrainConfig
 from sublm.lm import LanguageModel, LogUniformSampler
-from test_lm import EMBED_DIMS, N, S_VOCAB, W_VOCAB, toy_corpus
+from test_lm import EMBED_DIMS, SIZES, W_VOCAB, toy_corpus
 
 SEEDS = range(20)
 
@@ -243,8 +244,7 @@ def test_fd_tests_cover_every_recorded_op(rng):
     recorded = {"mul_scalar"}  # train() scales each window's loss by its length
     for variant, dims in EMBED_DIMS.items():
         init = uniform_init(rng, 0.3)
-        comp = build_composer(CompositionConfig(variant=variant, n=N, **dims),
-                              W_VOCAB, S_VOCAB, init=init)
+        comp = build_composer(TrainConfig(variant=variant, **dims), SIZES, init=init)
         model = LanguageModel(comp, d_lm=5, vocab_size=W_VOCAB, dropout_rate=0.5,
                               init=init)
         for mode, extra in (("eval", {}), ("train", {}), ("train", sampled)):

@@ -8,7 +8,8 @@ from fdiff import check_grads, safe_instance, scalar_loss
 from lstm_reference import lstm_step, lstm_steps
 from sublm import lm
 from sublm import tensor as T
-from sublm.composition import CompositionConfig, build_composer, uniform_init
+from sublm.composition import ModelSizes, build_composer, uniform_init
+from sublm.config import TrainConfig
 from sublm.corpus import EncodedCorpus, eval_windows
 from sublm.errors import ConfigError
 from sublm.lm import (LanguageModel, LogUniformSampler, _sample_unique,
@@ -16,6 +17,7 @@ from sublm.lm import (LanguageModel, LogUniformSampler, _sample_unique,
                       sample_count_for, sampled_softmax_nll)
 
 W_VOCAB, S_VOCAB, N = 6, 8, 3
+SIZES = ModelSizes(W_VOCAB, S_VOCAB, N)
 
 
 class UniformSampler:
@@ -40,8 +42,7 @@ def toy_corpus(rng):
 def toy_model(rng=None, d_lm=5, dropout=0.0, variant="syl-sum", dtype=np.float64):
     init = np.zeros if rng is None else uniform_init(rng, 0.3, dtype)
     kw = {"d_hw": 4} if variant == "syl-concat" else {}
-    comp = build_composer(CompositionConfig(variant=variant, d_s=4, n=N, **kw),
-                          W_VOCAB, S_VOCAB, init=init)
+    comp = build_composer(TrainConfig(variant=variant, d_s=4, **kw), SIZES, init=init)
     return LanguageModel(comp, d_lm=d_lm, vocab_size=W_VOCAB,
                          dropout_rate=dropout, init=init)
 
@@ -83,8 +84,8 @@ class TestForward:
     def test_recorded_nodes_do_not_grow_with_window_length(self, rng):
         # one recorded op per LSTM layer, in the word LM and in the composer
         init = uniform_init(rng, 0.3)
-        comp = build_composer(CompositionConfig(variant="syl-lstm", d_s=4, d_w=3, n=N),
-                              W_VOCAB, S_VOCAB, init=init)
+        comp = build_composer(TrainConfig(variant="syl-lstm", d_s=4, d_w=3), SIZES,
+                              init=init)
         model = LanguageModel(comp, d_lm=5, vocab_size=W_VOCAB, dropout_rate=0.5,
                               init=init)
         corpus = toy_corpus(rng)
@@ -159,8 +160,8 @@ EMBED_DIMS = {
 @pytest.mark.parametrize("variant", list(EMBED_DIMS))
 def test_embed_window_composes_each_distinct_word_once(variant, rng, monkeypatch):
     init = uniform_init(rng, 0.3)
-    comp = build_composer(CompositionConfig(variant=variant, n=N, **EMBED_DIMS[variant]),
-                          W_VOCAB, S_VOCAB, init=init)
+    comp = build_composer(TrainConfig(variant=variant, **EMBED_DIMS[variant]), SIZES,
+                          init=init)
     model = LanguageModel(comp, d_lm=5, vocab_size=W_VOCAB, init=init)
     corpus = toy_corpus(rng)
     ids = rng.integers(0, W_VOCAB, size=(3, 7))  # 21 tokens of 6 words
@@ -197,8 +198,8 @@ def test_train_window_records_the_nodes_of_an_eval_window(variant, rng):
     # dropout lives inside each lstm op; the sampled and the full softmax
     # are one op each
     init = uniform_init(rng, 0.3)
-    comp = build_composer(CompositionConfig(variant=variant, n=N, **EMBED_DIMS[variant]),
-                          W_VOCAB, S_VOCAB, init=init)
+    comp = build_composer(TrainConfig(variant=variant, **EMBED_DIMS[variant]), SIZES,
+                          init=init)
     model = LanguageModel(comp, d_lm=5, vocab_size=W_VOCAB, dropout_rate=0.5, init=init)
     corpus = toy_corpus(rng)
     ids = rng.integers(0, W_VOCAB, size=(2, 4))
@@ -237,7 +238,8 @@ def test_full_softmax_window_keeps_about_two_logit_buffers(rng):
     """
     v, batch, steps = 4000, 4, 10
     init = uniform_init(rng, 0.1)
-    comp = build_composer(CompositionConfig(variant="word-direct", d_w=4), v, 1, init=init)
+    comp = build_composer(TrainConfig(variant="word-direct", d_w=4), ModelSizes(v, 1, 0),
+                          init=init)
     model = LanguageModel(comp, d_lm=8, vocab_size=v, dropout_rate=0.5, init=init)
     corpus = EncodedCorpus(streams={}, subword_rows=np.zeros((v, 1), dtype=np.int64),
                            row_lengths=np.ones(v, dtype=np.int64))
@@ -264,7 +266,7 @@ class TestPerplexity:
         assert abs(perplexity(model, stream, corpus, steps=7) - W_VOCAB) < 0.5
 
     def test_single_word_vocab_gives_one(self, rng):
-        comp = build_composer(CompositionConfig(variant="word-direct", d_w=3), 1, 1)
+        comp = build_composer(TrainConfig(variant="word-direct", d_w=3), ModelSizes(1, 1, 0))
         model = LanguageModel(comp, d_lm=4, vocab_size=1, dropout_rate=0.0)
         corpus = EncodedCorpus(streams={}, subword_rows=np.zeros((1, 1), dtype=np.int64),
                                row_lengths=np.ones(1, dtype=np.int64))

@@ -358,6 +358,55 @@ class TestTrain:
         assert isinstance(ckpt, Checkpoint)
         assert all(np.isfinite(a).all() for a in ckpt.arrays.values())
 
+    @pytest.mark.parametrize("nan_window", [1, 3])
+    def test_divergence_before_any_epoch_returns_the_initial_arrays(
+            self, monkeypatch, tmp_path, nan_window):
+        vocabs, corpus = tiny_data()
+        calls = []
+        original = LanguageModel.window_nll
+
+        def window_nll(self, *args, **kwargs):
+            loss, state = original(self, *args, **kwargs)
+            calls.append(1)
+            if len(calls) == nan_window:
+                loss = T.mul_scalar(loss, float("nan"))
+            return loss, state
+
+        monkeypatch.setattr(LanguageModel, "window_nll", window_nll)
+        cfg = tiny_config()
+        ckpt = train(cfg, vocabs, corpus)
+        assert ckpt.epoch == 0 and ckpt.best_val_ppl == math.inf
+        sizes = ModelSizes.from_vocabs(vocabs)
+        initial = build_model(cfg, sizes, rng=np.random.default_rng(cfg.seed))
+        assert list(ckpt.arrays) == list(initial.params)
+        for name, p in initial.params.items():
+            assert ckpt.arrays[name].dtype == p.data.dtype, name
+            assert ckpt.arrays[name].tobytes() == p.data.tobytes(), name
+        ckpt.save(tmp_path / "m.ckpt")
+        model, _ = model_from_checkpoint(Checkpoint.load(tmp_path / "m.ckpt"), sizes)
+        assert model.w_out.data.tobytes() == initial.w_out.data.tobytes()
+
+    def test_no_parameter_copy_before_the_first_window(self, monkeypatch):
+        # the best arrays are copied when an epoch improves, not up front
+        vocabs, corpus = tiny_data()
+        at_first_window = []
+        original = LanguageModel.window_nll
+
+        def window_nll(self, *args, **kwargs):
+            if not at_first_window:
+                at_first_window.append(tracemalloc.get_traced_memory()[0])
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(LanguageModel, "window_nll", window_nll)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            ckpt = train(tiny_config(d_lm=300, max_epochs=1), vocabs, corpus)
+        finally:
+            tracemalloc.stop()
+        param_bytes = sum(a.nbytes for a in ckpt.arrays.values())
+        assert at_first_window[0] - start < 1.5 * param_bytes
+
     def test_runaway_loss_stays_finite_in_logs(self):
         # saturated models can reach astronomically bad but finite losses;
         # the epoch summary must not overflow
