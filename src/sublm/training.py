@@ -142,9 +142,8 @@ def train(config: TrainConfig, vocabs: Vocabularies, corpus: EncodedCorpus,
                 # gradients of the time-summed, batch-averaged loss,
                 # as the clipping threshold expects
                 T.backward(T.mul_scalar(loss, float(steps)))
-                grads = {name: p.grad for name, p in model.params.items()
-                         if p.grad is not None}
-                clip_global_norm(grads, config.clip_norm)
+                clip_global_norm({name: p.grad for name, p in model.params.items()
+                                  if p.grad is not None}, config.clip_norm)
                 for name, p in model.params.items():
                     if p.grad is not None:
                         p.grad *= lr  # in place: no full-size temporary
@@ -152,7 +151,10 @@ def train(config: TrainConfig, vocabs: Vocabularies, corpus: EncodedCorpus,
                     p.grad = None
                 total_nll += loss.item() * inputs.size
                 total_tokens += inputs.size
-                del loss  # frees this window's recording before the next forward pass
+                # frees this window's recording before the next forward pass:
+                # between windows only the parameters, the carried state and
+                # the best arrays stay live, no gradient
+                del loss
         except NonFiniteGradientError as err:
             log.warning("training diverged at epoch %d (%s); "
                         "returning the last good checkpoint", epoch, err)
