@@ -3,9 +3,10 @@
 Verbs: syllabify, build-vocab, train, eval, tune, analyze, params.  Stdout
 carries data (tables, metrics, segmentations); diagnostics go to stderr.
 Relative data paths inside a config file resolve against the config file's
-directory.  Exit codes: 0 success, 2 usage, 3 missing or unreadable file,
-4 malformed config, pattern or checkpoint file, 5 vocabulary mismatch,
-6 budget violation, 7 numerical divergence.
+directory.  Exit codes: 0 success, 2 usage, 3 missing or unreadable file
+(a text file that is not UTF-8 is unreadable), 4 malformed config, pattern
+or checkpoint file, 5 vocabulary mismatch, 6 budget violation, 7 numerical
+divergence.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .analysis import (default_freq_bins, dump_records, eval_report,
                        records_from_eval, shared_errors_table,
                        vocabulary_embeddings)
 from .checkpoint import Checkpoint
-from .config import TrainConfig, load_config
-from .corpus import (build_vocabs, encode_corpus, load_vocabs, save_vocabs)
+from .config import TrainConfig, parse_config
+from .corpus import build_vocabs, encode_corpus, load_vocabs, read_text, save_vocabs
 from .errors import (BudgetError, ConfigError, NonFiniteGradientError,
                      PatternParseError, VocabMismatchError)
 from .lm import perplexity
@@ -48,11 +49,6 @@ STEPS_HELP = ("word-LSTM window length (default: the checkpoint's bptt); it sets
               "perplexity does not depend on it")
 
 
-def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as f:
-        return f.read()
-
-
 def make_segmenter(mode: str, patterns_path: str = "", exceptions_path: str = "",
                    overrides_path: str = "") -> Segmenter:
     """A path the mode would not read is a ConfigError, raised before any read."""
@@ -68,12 +64,12 @@ def make_segmenter(mode: str, patterns_path: str = "", exceptions_path: str = ""
     overrides = None
     if mode in ("liang", "external"):
         if patterns_path:
-            patterns = load_patterns(_read(patterns_path),
-                                     _read(exceptions_path) if exceptions_path else "")
+            patterns = load_patterns(read_text(patterns_path),
+                                     read_text(exceptions_path) if exceptions_path else "")
         else:
             patterns = load_default_patterns()
     if overrides_path:
-        overrides, rejected = load_segmentation_overrides(_read(overrides_path))
+        overrides, rejected = load_segmentation_overrides(read_text(overrides_path))
         for lineno, reason in rejected:
             log.warning("%s line %d rejected: %s", overrides_path, lineno, reason)
     if mode == "external" and overrides is None:
@@ -81,7 +77,9 @@ def make_segmenter(mode: str, patterns_path: str = "", exceptions_path: str = ""
     return Segmenter(mode, patterns=patterns, overrides=overrides)
 
 
-def _resolve_config_paths(config: TrainConfig, config_path: str) -> TrainConfig:
+def _load_config(config_path: str) -> TrainConfig:
+    """The config file's config, relative data paths resolved against its directory."""
+    config = parse_config(read_text(config_path))
     base = os.path.dirname(os.path.abspath(config_path))
     updates = {}
     for key in ("patterns", "exceptions", "overrides", "train", "valid",
@@ -100,7 +98,7 @@ def _vocabs_for(config: TrainConfig):
         return load_vocabs(os.path.join(config.vocab_dir, "words.tsv"),
                            os.path.join(config.vocab_dir, "subwords.tsv"), seg)
     if config.train:
-        return build_vocabs(_read(config.train), seg,
+        return build_vocabs(read_text(config.train), seg,
                             word_cap=config.word_cap or None)
     raise ConfigError("config needs either vocab_dir or a train corpus")
 
@@ -113,11 +111,11 @@ def _training_data(config: TrainConfig):
     if not config.train:
         raise ConfigError("config key 'train' (training corpus path) is required")
     vocabs = _vocabs_for(config)
-    texts = {"train": _read(config.train)}
+    texts = {"train": read_text(config.train)}
     for split in ("valid", "test"):
         path = getattr(config, split)
         if path:
-            texts[split] = _read(path)
+            texts[split] = read_text(path)
     return vocabs, encode_corpus(texts, vocabs)
 
 
@@ -131,7 +129,7 @@ def cmd_syllabify(args) -> int:
 
 def cmd_build_vocab(args) -> int:
     seg = make_segmenter(args.mode, args.patterns, args.exceptions, args.overrides)
-    vocabs = build_vocabs(_read(args.corpus), seg, word_cap=args.word_cap)
+    vocabs = build_vocabs(read_text(args.corpus), seg, word_cap=args.word_cap)
     os.makedirs(args.out, exist_ok=True)
     save_vocabs(vocabs, os.path.join(args.out, "words.tsv"),
                 os.path.join(args.out, "subwords.tsv"))
@@ -142,7 +140,7 @@ def cmd_build_vocab(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = _resolve_config_paths(load_config(args.config), args.config)
+    config = _load_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     vocabs, corpus = _training_data(config)
@@ -184,7 +182,7 @@ def _load_model(checkpoint_path: str):
 
 def cmd_eval(args) -> int:
     model, config, vocabs = _load_model(args.checkpoint)
-    corpus = encode_corpus({"eval": _read(args.corpus)}, vocabs)
+    corpus = encode_corpus({"eval": read_text(args.corpus)}, vocabs)
     steps = args.steps or config.bptt
     ppl = perplexity(model, corpus.streams["eval"], corpus, steps=steps)
     print(f"ppl\t{ppl:.4f}")
@@ -192,7 +190,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_params(args) -> int:
-    config = _resolve_config_paths(load_config(args.config), args.config)
+    config = _load_config(args.config)
     sizes = (ModelSizes.from_vocabs(_vocabs_for(config)) if config.vocab_dir or config.train
              else ModelSizes.from_config(config))
     count = count_parameters(build_model(config, sizes))
@@ -201,7 +199,7 @@ def cmd_params(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    config = _resolve_config_paths(load_config(args.config), args.config)
+    config = _load_config(args.config)
     flags = {"budget": args.budget, "budget_tolerance": args.tolerance}
     config = dataclasses.replace(config, **{k: v for k, v in flags.items()
                                             if v is not None})
@@ -254,7 +252,7 @@ def cmd_analyze(args) -> int:
         model, config, vocabs = _load_model(path)
         if shared_vocabs is None:
             shared_vocabs = vocabs
-            corpus = encode_corpus({"eval": _read(args.corpus)}, vocabs)
+            corpus = encode_corpus({"eval": read_text(args.corpus)}, vocabs)
             steps = steps or config.bptt
         elif vocabs.hashes() != shared_vocabs.hashes():
             raise VocabMismatchError(

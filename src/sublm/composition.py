@@ -24,11 +24,6 @@ from .corpus import Vocabularies
 from .errors import ConfigError
 from .tensor import Tensor
 
-VARIANTS = ("word-direct", "syl-lstm", "syl-cnn", "syl-sum", "syl-avg",
-            "syl-avg-a", "syl-avg-b", "syl-concat")
-LINEAR_VARIANTS = ("syl-sum", "syl-avg", "syl-avg-a", "syl-avg-b")
-
-
 @dataclass(frozen=True)
 class ModelSizes:
     """Vocabulary-derived dimensions a model build needs."""
@@ -64,53 +59,6 @@ def banks(config: TrainConfig) -> tuple[tuple[int, int], ...]:
         triangle = config.cnn_max_width * (config.cnn_max_width + 1) // 2
         unit = max(1, round(config.d_hw / triangle))
     return tuple((l, unit * l) for l in range(1, config.cnn_max_width + 1))
-
-
-def check_dims(config: TrainConfig, n: int) -> None:
-    """Reject composition dimensions ``config``'s variant cannot build at
-    ``n`` subwords per word; with an explicit cnn unit, a nonzero ``d_hw``
-    must equal the banks' total width."""
-    if config.variant not in VARIANTS:
-        raise ConfigError(f"unknown composition variant {config.variant!r}")
-    if config.highway_layers < 0:
-        raise ConfigError(f"highway_layers must be >= 0, got {config.highway_layers}")
-    if config.variant == "word-direct":
-        if config.d_w < 1:
-            raise ConfigError("word-direct needs d_w >= 1")
-        return
-    if config.d_s < 1:
-        raise ConfigError(f"{config.variant} needs d_s >= 1")
-    if n < 1:
-        raise ConfigError(f"{config.variant} needs max_subwords (n) >= 1, got {n}")
-    if config.variant == "syl-lstm" and config.d_w < 1:
-        raise ConfigError("syl-lstm needs d_w >= 1 (its hidden size)")
-    if config.variant == "syl-cnn":
-        if config.cnn_max_width < 1 or config.cnn_depth_unit < 0 or config.d_hw < 0:
-            raise ConfigError("syl-cnn needs cnn_max_width >= 1, cnn_depth_unit "
-                              ">= 0 and d_hw >= 0")
-        if config.cnn_max_width > n:
-            raise ConfigError(f"filter width {config.cnn_max_width} exceeds max "
-                              f"subwords per word n={n}")
-        derived = output_dim(config)
-        if config.cnn_depth_unit and config.d_hw and config.d_hw != derived:
-            raise ConfigError(
-                f"syl-cnn d_hw={config.d_hw} but the filter banks give {derived}")
-    if config.variant == "syl-concat" and config.d_hw < 1:
-        raise ConfigError("syl-concat needs d_hw >= 1")
-
-
-def output_dim(config: TrainConfig) -> int:
-    """The composed word vector's width: ``d_w`` for word-direct and
-    syl-lstm, the banks' total for syl-cnn, ``d_s`` for the linear family
-    (it composes in subword space and ignores ``d_hw``), and ``d_hw`` for
-    syl-concat, after its projection."""
-    if config.variant in ("word-direct", "syl-lstm"):
-        return config.d_w
-    if config.variant == "syl-cnn":
-        return sum(k for _, k in banks(config))
-    if config.variant in LINEAR_VARIANTS:
-        return config.d_s
-    return config.d_hw
 
 
 def uniform_init(rng: np.random.Generator, init_range: float, dtype=np.float64):
@@ -150,13 +98,27 @@ class HighwayStack:
 
 
 class Composer:
-    """Base for all composition variants; subclasses fill ``params``."""
+    """Base for all composition variants; subclasses fill ``params``.
 
-    def __init__(self, config: TrainConfig, sizes: ModelSizes):
-        check_dims(config, sizes.max_subwords)  # the only validation a build runs
+    Each variant's class checks the config keys it reads and passes the
+    width of the word vector it composes as ``out_dim``.  The checks every
+    variant shares run here: ``highway_layers >= 0`` and, for a variant that
+    reads subwords, ``d_s >= 1`` and ``max_subwords`` (n) ``>= 1``.
+    """
+
+    uses_subwords = True
+
+    def __init__(self, config: TrainConfig, sizes: ModelSizes, out_dim: int):
+        if config.highway_layers < 0:
+            raise ConfigError(f"highway_layers must be >= 0, got {config.highway_layers}")
+        n = sizes.max_subwords
+        if self.uses_subwords and config.d_s < 1:
+            raise ConfigError(f"{config.variant} needs d_s >= 1")
+        if self.uses_subwords and n < 1:
+            raise ConfigError(f"{config.variant} needs max_subwords (n) >= 1, got {n}")
         self.config = config
-        self.n = sizes.max_subwords
-        self.out_dim = output_dim(config)
+        self.n = n
+        self.out_dim = out_dim
         self.params: dict[str, Tensor] = {}
 
     def __call__(self, word_ids: np.ndarray, rows: np.ndarray,
@@ -167,8 +129,12 @@ class Composer:
 class WordDirect(Composer):
     """Baseline: direct row lookup in a word embedding matrix, no highway."""
 
+    uses_subwords = False
+
     def __init__(self, config, sizes, init):
-        super().__init__(config, sizes)
+        super().__init__(config, sizes, config.d_w)
+        if config.d_w < 1:
+            raise ConfigError("word-direct needs d_w >= 1")
         self.e_w = Tensor(init((sizes.vocab_size, config.d_w)))
         self.params["e_w"] = self.e_w
 
@@ -187,7 +153,9 @@ class SylLSTM(Composer):
     """
 
     def __init__(self, config, sizes, init):
-        super().__init__(config, sizes)
+        super().__init__(config, sizes, config.d_w)
+        if config.d_w < 1:
+            raise ConfigError("syl-lstm needs d_w >= 1 (its hidden size)")
         self.e_s = Tensor(init((sizes.subword_vocab_size, config.d_s)))
         self.cell = T.lstm_params(config.d_s, config.d_w, init)
         self.params["e_s"] = self.e_s
@@ -210,14 +178,27 @@ class SylLSTM(Composer):
 
 
 class SylCNN(Composer):
-    """Max-over-time tanh convolutions over subword vectors, then highway."""
+    """Max-over-time tanh convolutions over subword vectors, then highway.
+    The word vector is the banks' total depth, which a nonzero ``d_hw`` must
+    equal when ``cnn_depth_unit`` is explicit."""
 
     def __init__(self, config, sizes, init):
-        super().__init__(config, sizes)
+        if config.cnn_max_width < 1 or config.cnn_depth_unit < 0 or config.d_hw < 0:
+            raise ConfigError("syl-cnn needs cnn_max_width >= 1, cnn_depth_unit "
+                              ">= 0 and d_hw >= 0")
+        spec = banks(config)
+        total = sum(depth for _, depth in spec)
+        if config.cnn_depth_unit and config.d_hw and config.d_hw != total:
+            raise ConfigError(
+                f"syl-cnn d_hw={config.d_hw} but the filter banks give {total}")
+        super().__init__(config, sizes, total)
+        if config.cnn_max_width > self.n:
+            raise ConfigError(f"filter width {config.cnn_max_width} exceeds max "
+                              f"subwords per word n={self.n}")
         self.e_s = Tensor(init((sizes.subword_vocab_size, config.d_s)))
         self.params["e_s"] = self.e_s
         self.banks = []
-        for width, depth in banks(config):
+        for width, depth in spec:
             w = Tensor(init((width * config.d_s, depth)))
             b = Tensor(init((depth,)))
             self.params[f"conv{width}.w"] = w
@@ -245,7 +226,7 @@ class SylLinear(Composer):
     """
 
     def __init__(self, config, sizes, init):
-        super().__init__(config, sizes)
+        super().__init__(config, sizes, config.d_s)
         self.e_s = Tensor(init((sizes.subword_vocab_size, config.d_s)))
         self.params["e_s"] = self.e_s
         if config.variant == "syl-avg-a":
@@ -283,7 +264,9 @@ class SylConcat(Composer):
     :func:`tensor.masked_concat`, ``affine`` and :func:`tensor.highway`."""
 
     def __init__(self, config, sizes, init):
-        super().__init__(config, sizes)
+        super().__init__(config, sizes, config.d_hw)
+        if config.d_hw < 1:
+            raise ConfigError("syl-concat needs d_hw >= 1")
         n, d_s, d_hw = self.n, config.d_s, config.d_hw
         self.e_s = Tensor(init((sizes.subword_vocab_size, d_s)))
         self.proj_w = Tensor(init((n * d_s, d_hw)))
@@ -306,11 +289,12 @@ class SylConcat(Composer):
         return self.highway(T.affine(x, self.proj_w, self.proj_b))
 
 
+COMPOSERS = {"word-direct": WordDirect, "syl-lstm": SylLSTM, "syl-cnn": SylCNN,
+             "syl-sum": SylLinear, "syl-avg": SylLinear, "syl-avg-a": SylLinear,
+             "syl-avg-b": SylLinear, "syl-concat": SylConcat}  # every variant name
+
+
 def build_composer(config: TrainConfig, sizes: ModelSizes, init=zeros_init) -> Composer:
-    cls = {
-        "word-direct": WordDirect,
-        "syl-lstm": SylLSTM,
-        "syl-cnn": SylCNN,
-        "syl-concat": SylConcat,
-    }.get(config.variant, SylLinear)
-    return cls(config, sizes, init)
+    if config.variant not in COMPOSERS:
+        raise ConfigError(f"unknown composition variant {config.variant!r}")
+    return COMPOSERS[config.variant](config, sizes, init)

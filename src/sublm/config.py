@@ -23,7 +23,7 @@ SCALE_DEFAULTS = {
 class TrainConfig:
     """Everything a training run needs, checkpointable as a dict."""
 
-    # composition dimensions; composition.check_dims says which each variant needs
+    # composition dimensions; each composer class in composition.py checks those it reads
     variant: str = "syl-concat"
     d_s: int = 0                 # subword embedding size
     d_w: int = 0                 # word-direct lookup width, syl-lstm hidden size
@@ -92,11 +92,25 @@ class TrainConfig:
 
     @staticmethod
     def from_dict(values: dict) -> "TrainConfig":
-        fields = {f.name for f in dataclasses.fields(TrainConfig)}
-        unknown = set(values) - fields
+        """A config from ``to_dict``'s mapping; a value whose type does not fit
+        its key (a bool is no int, an int fits a float key) is a ConfigError."""
+        if not isinstance(values, dict):
+            raise ConfigError(f"config must be a mapping of keys to values, "
+                              f"got {type(values).__name__}")
+        unknown = values.keys() - _KINDS.keys()
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in values.items():
+            kind = (int, float) if _KINDS[key] is float else _KINDS[key]
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ConfigError(f"config key {key!r} must be {_KINDS[key].__name__}, "
+                                  f"got {value!r}")
         return TrainConfig(**values)
+
+
+# each field's value type, from its annotation
+_KINDS = {f.name: {"int": int, "float": float, "str": str}[f.type]
+         for f in dataclasses.fields(TrainConfig)}
 
 
 def _coerce(name: str, kind, raw: str, lineno: int):
@@ -116,8 +130,6 @@ def _coerce(name: str, kind, raw: str, lineno: int):
 
 def parse_config(text: str) -> TrainConfig:
     """Parse flat ``key = value`` text; ``#`` starts a comment."""
-    types = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
-    kinds = {"int": int, "float": float, "str": str}
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -127,14 +139,9 @@ def parse_config(text: str) -> TrainConfig:
             raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in types:
+        if key not in _KINDS:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = _coerce(key, kinds[types[key]], val, lineno)
+        values[key] = _coerce(key, _KINDS[key], val, lineno)
     return TrainConfig.from_dict(values)
-
-
-def load_config(path) -> TrainConfig:
-    with open(path, encoding="utf-8") as f:
-        return parse_config(f.read())

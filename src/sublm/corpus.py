@@ -10,6 +10,7 @@ loaded; ``encode_corpus`` reuses the segmentations ``Vocabularies`` keeps.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 from dataclasses import dataclass
 
@@ -95,6 +96,17 @@ class EncodedCorpus:
     streams: dict[str, np.ndarray]
     subword_rows: np.ndarray
     row_lengths: np.ndarray
+
+
+def read_text(path) -> str:
+    """A UTF-8 text file's contents; one that does not decode raises an
+    OSError naming the file and the offset of the first bad byte."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            return f.read()
+        except UnicodeDecodeError as err:
+            raise OSError(errno.EILSEQ, f"not UTF-8 text (byte {err.start})",
+                          str(path)) from None
 
 
 def tokenize(text: str) -> list[str]:
@@ -264,10 +276,8 @@ def _parse_vocab_file(text: str, what: str) -> tuple[list[str], np.ndarray]:
 def load_vocabs(words_path, subwords_path, segmenter: Segmenter) -> Vocabularies:
     """Rebuild Vocabularies from dump files, segmenting each word once;
     subwords the file lacks (another segmenter's) encode as <unk_sub>."""
-    with open(words_path, encoding="utf-8") as f:
-        id_to_word, word_freq = _parse_vocab_file(f.read(), "word")
-    with open(subwords_path, encoding="utf-8") as f:
-        id_to_sub, _ = _parse_vocab_file(f.read(), "subword")
+    id_to_word, word_freq = _parse_vocab_file(read_text(words_path), "word")
+    id_to_sub, _ = _parse_vocab_file(read_text(subwords_path), "subword")
     for special, name in ((UNK, "word"), (EOS, "word")):
         if special not in id_to_word:
             raise ConfigError(f"{name} vocab is missing {special}")

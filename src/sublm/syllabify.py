@@ -119,12 +119,11 @@ def _parse_exception(token: str, lineno: int) -> tuple[str, tuple[int, ...]]:
     return "".join(word), tuple(breaks)
 
 
-def load_default_patterns(left_min: int = 2, right_min: int = 3) -> PatternSet:
+def load_default_patterns() -> PatternSet:
     """The bundled classic English TeX patterns and exceptions."""
     data = resources.files("sublm") / "data"
     return load_patterns((data / "hyphen-en.pat").read_text("utf-8"),
-                         (data / "hyphen-en.exc").read_text("utf-8"),
-                         left_min=left_min, right_min=right_min)
+                         (data / "hyphen-en.exc").read_text("utf-8"))
 
 
 def _lower_preserving_length(word: str) -> str:

@@ -68,8 +68,8 @@ class TestUnusedSegmentationFlags:
     @pytest.fixture()
     def reads(self, monkeypatch):
         calls = []
-        read = cli._read
-        monkeypatch.setattr(cli, "_read", lambda path: calls.append(path) or read(path))
+        read = cli.read_text
+        monkeypatch.setattr(cli, "read_text", lambda path: calls.append(path) or read(path))
         return calls
 
     @pytest.mark.parametrize("flags,key", [
@@ -105,7 +105,7 @@ class TestUnusedSegmentationFlags:
         cfg = write_demo_config(tmp_path, train_f, valid_f, exceptions="/does/not/exist.exc")
         assert run(["params", "--config", str(cfg)]) == 4
         assert "'exceptions'" in error_lines(capsys)[0]
-        assert not reads
+        assert reads == [str(cfg)]  # the config file alone
 
 
 class TestParams:
@@ -163,6 +163,14 @@ class TestParams:
         bad = tmp_path / "bad.cfg"
         bad.write_text("variant = syl-sum\nwhat = ever\n")
         assert run(["params", "--config", str(bad)]) == 4
+
+    def test_unknown_variant_exits_4(self, tmp_path, capsys):
+        cfg = tmp_path / "bpe.cfg"
+        cfg.write_text("variant = syl-bpe\nd_s = 50\nd_lm = 300\nvocab_size = 10000\n"
+                       "subword_vocab_size = 6000\nmax_subwords = 8\n")
+        assert run(["params", "--config", str(cfg)]) == 4
+        errors = error_lines(capsys)
+        assert errors and "unknown composition variant 'syl-bpe'" in errors[0]
 
 
 class TestUsage:
@@ -525,6 +533,19 @@ class TestInputErrors:
         assert run(["eval", "--checkpoint", str(tmp_path), "--corpus", str(corpus)]) == 3
         assert error_lines(capsys)
 
+    @pytest.mark.parametrize("argv", [
+        ["build-vocab", "--mode", "chars", "--out", "OUT", "--corpus"],
+        ["params", "--config"],
+        ["syllabify", "--patterns"],
+    ], ids=["corpus", "config", "patterns"])
+    def test_text_file_that_is_not_utf8_exits_3(self, tmp_path, capsys, argv):
+        latin1 = tmp_path / "latin1.txt"
+        latin1.write_bytes("caf\u00e9 = 1\n".encode("latin-1"))
+        argv = [str(tmp_path / "out") if a == "OUT" else a for a in argv]
+        assert run(argv + [str(latin1)]) == 3
+        errors = error_lines(capsys)
+        assert len(errors) == 1 and "UTF-8" in errors[0] and str(latin1) in errors[0]
+
     @pytest.mark.parametrize("field", [0, 2], ids=["id", "freq"])
     def test_malformed_vocab_field_exits_4(self, tmp_path, rng, capsys, field):
         train_f, valid_f = write_demo_corpus(tmp_path, rng)
@@ -731,6 +752,19 @@ class TestMalformedCheckpoint:
         assert run(["eval", "--checkpoint", str(path), "--corpus", str(corpus)]) == 4
         err = capsys.readouterr().err.splitlines()
         assert any(line.startswith("error: ") for line in err)
+
+    @pytest.mark.parametrize("config, key", [
+        (["variant"], "mapping"), ({"lr": "fast"}, "'lr'"), ({"seed": None}, "'seed'"),
+    ], ids=["not-a-mapping", "str-for-float", "null-for-int"])
+    def test_malformed_config_exits_4(self, tmp_path, capsys, config, key):
+        path = tmp_path / "m.ckpt"
+        Checkpoint(config=config, vocab_hashes={}, epoch=1, best_val_ppl=1.0,
+                   arrays={"w": np.zeros((3, 4))}).save(path)
+        corpus = tmp_path / "eval.txt"
+        corpus.write_text("a b\n")
+        assert run(["eval", "--checkpoint", str(path), "--corpus", str(corpus)]) == 4
+        errors = error_lines(capsys)
+        assert len(errors) == 1 and key in errors[0]
 
 
 class TestSubprocess:

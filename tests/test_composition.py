@@ -4,8 +4,8 @@ import pytest
 from fdiff import check_grads, fd_margin, safe_instance, scalar_loss
 from lstm_reference import lstm_step, lstm_steps
 from sublm import tensor as T
-from sublm.composition import (HighwayStack, ModelSizes, build_composer, check_dims,
-                               output_dim, uniform_init, zeros_init)
+from sublm.composition import (COMPOSERS, Composer, HighwayStack, ModelSizes,
+                               build_composer, uniform_init, zeros_init)
 from sublm.config import TrainConfig
 from sublm.errors import ConfigError
 
@@ -43,33 +43,46 @@ def recorded_ops(out):
     return sorted(node.op for node in T.recorded(out) if node.op != "leaf")
 
 
+def out_dim(cfg, n=8):
+    return build_composer(cfg, ModelSizes(W_VOCAB, S_VOCAB, n)).out_dim
+
+
 class TestConfig:
     def test_cnn_width_table(self):
         # widths [1..L] with depths [c*l] give d_hw = c * (1 + ... + L)
         for L, c, want in [(3, 60, 360), (2, 120, 360), (4, 35, 350)]:
             cfg = TrainConfig(variant="syl-cnn", d_s=50, cnn_max_width=L, cnn_depth_unit=c)
-            assert output_dim(cfg) == want
+            assert out_dim(cfg) == want
 
     def test_cnn_width_exceeding_n_rejected(self):
         cfg = TrainConfig(variant="syl-cnn", d_s=4, cnn_max_width=3, cnn_depth_unit=2)
         with pytest.raises(ConfigError):
-            check_dims(cfg, 2)
+            out_dim(cfg, 2)
+        with pytest.raises(ConfigError, match="max_subwords"):
+            out_dim(cfg, 0)
 
     def test_linear_output_is_subword_dim(self):
         cfg = TrainConfig(variant="syl-sum", d_s=11)
-        assert output_dim(cfg) == 11
+        assert out_dim(cfg) == 11
 
     def test_concat_needs_d_hw(self):
         with pytest.raises(ConfigError):
-            check_dims(TrainConfig(variant="syl-concat", d_s=4), 3)
+            out_dim(TrainConfig(variant="syl-concat", d_s=4), 3)
 
     def test_unknown_variant(self):
         with pytest.raises(ConfigError):
-            check_dims(TrainConfig(variant="syl-bpe", d_s=4), 3)
+            out_dim(TrainConfig(variant="syl-bpe", d_s=4), 3)
 
     def test_explicit_banks(self):
         cfg = TrainConfig(variant="syl-cnn", d_s=4, cnn_max_width=1, cnn_depth_unit=35)
-        assert output_dim(cfg) == 35
+        assert out_dim(cfg) == 35
+
+    @pytest.mark.parametrize("variant", sorted(COMPOSERS))
+    def test_each_variant_owns_its_call(self, variant):
+        # perfbench counts composed rows by wrapping the __call__ of each
+        # direct Composer subclass that defines one
+        cls = type(make(variant))
+        assert cls in Composer.__subclasses__() and "__call__" in vars(cls)
 
 
 class TestHighway:

@@ -85,3 +85,14 @@ lr = 0.5   # inline comment
     def test_from_dict_rejects_unknown(self):
         with pytest.raises(ConfigError):
             TrainConfig.from_dict({"variant": "syl-sum", "optimizer": "adam"})
+
+    @pytest.mark.parametrize("values", [{"seed": True}, {"d_s": 1.0}, {"variant": 3},
+                                        {"lr": "1.0"}, {"budget": None}],
+                             ids=["bool-for-int", "float-for-int", "int-for-str",
+                                  "str-for-float", "null-for-int"])
+    def test_from_dict_rejects_a_value_of_the_wrong_type(self, values):
+        with pytest.raises(ConfigError, match=repr(next(iter(values)))):
+            TrainConfig.from_dict(values)
+
+    def test_from_dict_takes_an_int_for_a_float(self):
+        assert TrainConfig.from_dict({"lr": 2}).lr == 2.0
