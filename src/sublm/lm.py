@@ -244,15 +244,21 @@ def sampled_softmax_nll(h: Tensor, w_out: Tensor, b_out: Tensor,
         d_pool = e / z[:, None]
         d_pool *= g / m
         d_tgt = (e_t / z - 1.0) * (g / m)
-        dh = d_tgt[:, None] * w_tgt.T + d_pool @ w_pool.T
 
-        def dw(buf):
-            # element (i, ids[j]) of the C-order (d, V) buffer is i*V + ids[j]
+        def dw():
+            # on the helper thread; the scatter runs when the walk adds it
             cols = np.concatenate([hv.T @ d_pool, hv.T * d_tgt], axis=1)
-            flat = np.arange(d)[:, None] * v + ids
-            np.add.at(buf.reshape(-1, copy=False), flat.reshape(-1), cols.reshape(-1))
 
-        return (dh, dw, lambda buf: np.add.at(
+            def scatter(buf):
+                # row by row: each element still gets its columns in order,
+                # and no (d, k + 1 + m) index array is built
+                for row, col in zip(buf, cols):
+                    np.add.at(row, ids, col)
+            return scatter
+
+        dw_later = T.later(dw)
+        dh = d_tgt[:, None] * w_tgt.T + d_pool @ w_pool.T
+        return (dh, dw_later, lambda buf: np.add.at(
             buf, ids, np.concatenate([d_pool.sum(axis=0), d_tgt])))
 
     return T.custom_op(np.asarray(nll.mean()), "sampled_softmax", (h, w_out, b_out), bw)

@@ -22,12 +22,21 @@ Default precision is 64-bit; 32-bit is opt-in per tensor.  Reductions run in
 a fixed order, so results are bitwise reproducible for a fixed BLAS thread
 count.  Stochastic ops take their rng as an argument, so a forward pass
 repeats bitwise under an equal-seeded rng.
+
+The walk runs the ops' weight-gradient GEMMs (``x.T @ g`` into a parameter)
+on one helper thread (:func:`later`) while it goes on down the chain of
+input gradients.  Each GEMM is the same call with the same operands on
+either thread, and the walk adds each result into its buffer in the order
+it would without the helper, so the bits never depend on it.  A process
+forked from one that has run a walk starts its own helper on its first.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
@@ -125,7 +134,9 @@ def custom_op(data, name: str, parents: Sequence[Tensor],
 
     ``backward(out_grad)`` must return one contribution per parent: an array
     added to the parent's grad buffer, a callable mutating the buffer in
-    place, or ``None``.
+    place, ``None``, or a :func:`later` ``Future`` of an array or of such a
+    callable.  A task handed to :func:`later` must read only arrays that
+    nothing writes afterwards.
     """
     out = Tensor(data)
     if _local.grad_enabled:
@@ -149,33 +160,77 @@ def recorded(loss: Tensor) -> list[Tensor]:
     return [found[i] for i in sorted(found, reverse=True)]
 
 
+_helper: ThreadPoolExecutor | None = None
+_helper_pid: int | None = None
+
+
+def later(fn: Callable, *args) -> Future:
+    """``fn(*args)`` submitted to the walk's one helper thread.
+
+    Backward rules hand their weight-gradient GEMMs to it: a parameter's
+    gradient is needed only when the walk reaches that leaf, which
+    :func:`recorded` lists last.  The helper is created on first use, and
+    again in a forked child, which does not inherit the parent's thread.
+    Two threads whose first walks race here may each start one; either
+    serves, and no result depends on which.
+    """
+    global _helper, _helper_pid
+    if _helper_pid != os.getpid():
+        _helper = ThreadPoolExecutor(1, thread_name_prefix="sublm-backward")
+        _helper_pid = os.getpid()
+    return _helper.submit(fn, *args)
+
+
+def _add(pending: dict, node: Tensor, contrib) -> None:
+    """Add an array or apply a callable to ``node``'s gradient buffer."""
+    buf = pending.get(node.node_id)
+    if buf is None:
+        buf = pending[node.node_id] = np.zeros_like(node.data)
+    if callable(contrib):
+        contrib(buf)
+    else:
+        np.add(buf, contrib, out=buf)
+
+
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into ``.grad`` of every reachable leaf.
 
     ``loss`` must be scalar.  Interior nodes get no ``.grad``: their
     gradients live only while the walk needs them.  Calling twice without
     clearing grads adds the two passes together.
+
+    Array and callable contributions are added at once.  A :func:`later`
+    one waits, at most one per node, until the walk reaches its node or
+    another contribution for that node arrives, so every buffer sums its
+    contributions in the order the ops returned them, whichever thread
+    computed them.  An exception raised in a helper task is raised here.
     """
     if loss.data.shape != ():
         raise ValueError(f"backward target must be scalar, got shape {loss.data.shape}")
     pending = {loss.node_id: np.ones((), dtype=loss.data.dtype)}
-    for node in recorded(loss):
-        g = pending.pop(node.node_id, None)
-        if g is None:
-            continue
-        if node._backward is None:
-            node.grad = g if node.grad is None else node.grad + g
-            continue
-        for parent, contrib in zip(node._parents, node._backward(g)):
-            if contrib is None:
+    waiting: dict[int, Future] = {}
+    try:
+        for node in recorded(loss):
+            if node.node_id in waiting:
+                _add(pending, node, waiting.pop(node.node_id).result())
+            g = pending.pop(node.node_id, None)
+            if g is None:
                 continue
-            buf = pending.get(parent.node_id)
-            if buf is None:
-                buf = pending[parent.node_id] = np.zeros_like(parent.data)
-            if callable(contrib):
-                contrib(buf)
-            else:
-                np.add(buf, contrib, out=buf)
+            if node._backward is None:
+                node.grad = g if node.grad is None else node.grad + g
+                continue
+            for parent, contrib in zip(node._parents, node._backward(g)):
+                if contrib is None:
+                    continue
+                if parent.node_id in waiting:
+                    _add(pending, parent, waiting.pop(parent.node_id).result())
+                if isinstance(contrib, Future):
+                    waiting[parent.node_id] = contrib
+                else:
+                    _add(pending, parent, contrib)
+    finally:
+        for fut in waiting.values():
+            fut.cancel()
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +249,9 @@ def _check_affine(name: str, xv: np.ndarray, wv: np.ndarray, bv: np.ndarray) -> 
 
 
 def _affine_grads(xv: np.ndarray, wv: np.ndarray, g: np.ndarray) -> tuple:
-    """The gradients of x @ w + b for x, w and b, given g = d/dy."""
-    return (g @ wv.T, xv.T @ g, g.sum(axis=0))
+    """The gradients of x @ w + b for x, w and b, given g = d/dy; w's on the helper."""
+    dw = later(np.matmul, xv.T, g)
+    return (g @ wv.T, dw, g.sum(axis=0))
 
 
 def affine(x: Tensor, w: Tensor, b_vec: Tensor) -> Tensor:
@@ -476,8 +532,11 @@ def lstm(x: Tensor, h0: np.ndarray, c0: np.ndarray, params, steps: int,
             dz[lo:hi, 3 * d:] = dc_k * i * (1.0 - g * g)
             dc[:n] = dc_k * f
             dh[:n] = dz[lo:hi] @ wh.T
-        h_prev = hs[np.concatenate([np.arange(p, p + n) for p, n in zip(prev, counts)])]
-        return (dz @ wx.T, xv.T @ dz, h_prev.T @ dz, dz.sum(axis=0))
+        # each row's state before its step: rows prev[k]..prev[k]+counts[k]-1
+        before = np.concatenate([np.arange(p, p + n) for p, n in zip(prev, counts)])
+        dwx = later(np.matmul, xv.T, dz)
+        dwh = later(lambda: hs[before].T @ dz)
+        return (dz @ wx.T, dwx, dwh, dz.sum(axis=0))
 
     out = custom_op(out, "lstm", (x, *params), bw)
     # lane j is live for the steps whose count exceeds j
@@ -528,8 +587,8 @@ def conv1d_max_over_time(seq: Tensor, banks, lengths: np.ndarray) -> Tensor:
             dz = np.zeros((m, t_count, k), dtype=gz.dtype)
             np.put_along_axis(dz, arg, gz[:, None, :], axis=1)
             dz = dz.reshape(m * t_count, k)
+            contribs += [later(np.matmul, win.T, dz), gz.sum(axis=0)]
             dwins.append((width, t_count, (dz @ wv.T).reshape(m, t_count, width, d)))
-            contribs += [win.T @ dz, gz.sum(axis=0)]
 
         def scatter(buf):
             for width, t_count, dwin in dwins:
@@ -576,7 +635,8 @@ def highway(x: Tensor, layers) -> Tensor:
             dz_t *= 1.0 - t
             dz_h = g * t
             dz_h *= h > 0  # the relu input is positive exactly where h is
-            grads.append((y.T @ dz_t, dz_t.sum(axis=0), y.T @ dz_h, dz_h.sum(axis=0)))
+            grads.append((later(np.matmul, y.T, dz_t), dz_t.sum(axis=0),
+                          later(np.matmul, y.T, dz_h), dz_h.sum(axis=0)))
             g = g * (1.0 - t)
             g += dz_h @ w_h.data.T
             g += dz_t @ w_t.data.T

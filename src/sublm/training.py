@@ -65,11 +65,17 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float = 5.0) -> flo
     """Scale all gradients in place so their global L2 norm is <= max_norm.
 
     Returns the scale factor applied (1.0 when under the limit).  A NaN or
-    infinite gradient aborts, naming the offending parameter.
+    infinite gradient aborts, naming the offending parameter; a finite one
+    whose squares overflow its own precision is summed again in float64.
     """
     total = 0.0
     for name, g in grads.items():
-        s = float(np.dot(g.reshape(-1), g.reshape(-1)))
+        flat = g.reshape(-1)
+        with np.errstate(over="ignore"):
+            s = float(np.dot(flat, flat))
+        if not math.isfinite(s) and np.isfinite(flat).all():
+            wide = flat.astype(np.float64)
+            s = float(np.dot(wide, wide))
         if not math.isfinite(s):
             raise NonFiniteGradientError(name)
         total += s

@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -377,6 +379,62 @@ class TestBackward:
         T.backward(loss)
         assert x.grad is not None
         assert y.grad is None and loss.grad is None
+
+
+class TestHelperThread:
+    def test_forked_child_runs_its_own_backward(self, rng):
+        x, w, b = t(rng.normal(size=(5, 4))), t(rng.normal(size=(4, 3))), t(rng.normal(size=3))
+        # this process's helper thread exists from here on
+        T.backward(scalar_loss(T.affine(x, w, b)))
+        expected = w.grad.copy()
+
+        def child():
+            w.grad = None
+            T.backward(scalar_loss(T.affine(x, w, b)))
+            if not np.array_equal(w.grad, expected):
+                raise AssertionError("the child's gradient differs")
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(timeout=60)
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+            pytest.fail("a forked child's backward did not finish in 60 s")
+        assert proc.exitcode == 0
+
+    def test_shared_weights_sum_in_the_inline_order(self, rng, monkeypatch):
+        # w is the input and the weight of the affine map and every highway
+        # weight, so its buffer gets helper results before and after an array
+        w, b = t(rng.normal(size=(4, 4))), t(rng.normal(size=4))
+        weights = rng.normal(size=(4, 4))
+
+        def grads():
+            w.grad = b.grad = None
+            out = T.highway(T.affine(w, w, b), [(w, b, w, b), (w, b, w, b)])
+            T.backward(scalar_loss(out, weights))
+            return [p.grad.tobytes() for p in (w, b)]
+
+        on_helper = grads()
+        # run inline, each helper result is added the moment its op returns it
+        monkeypatch.setattr(T, "later", lambda fn, *args: fn(*args))
+        assert grads() == on_helper
+
+    def test_a_failing_helper_task_raises_from_backward(self, rng):
+        x, w = t(rng.normal(size=(2, 3))), t(rng.normal(size=(2, 3)))
+
+        def bw(g):
+            # shapes (2, 3) and (2, 3) do not multiply
+            return (g, T.later(np.matmul, x.data, w.data))
+
+        loss = scalar_loss(T.custom_op(x.data + w.data, "add", (x, w), bw))
+        with pytest.raises(ValueError, match="matmul"):
+            T.backward(loss)
+        assert all(p.grad is None or isinstance(p.grad, np.ndarray) for p in (x, w))
+        # the helper still serves the next walk
+        x.grad = w.grad = None
+        T.backward(scalar_loss(T.affine(x, t(np.ones((3, 1))), t([0.0]))))
+        assert np.array_equal(x.grad, np.ones((2, 3)))
 
 
 class TestGraph:

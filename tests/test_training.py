@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 import tracemalloc
 import weakref
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from sublm import tensor as T
+from sublm.analysis import vocabulary_embeddings
 from sublm.checkpoint import Checkpoint
 from sublm.cli import run
 from sublm.composition import uniform_init
@@ -268,6 +270,19 @@ class TestClip:
         with pytest.raises(NonFiniteGradientError) as exc:
             clip_global_norm(g)
         assert "broken" in str(exc.value)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_huge_finite_gradient_clips_in_either_precision(self, dtype):
+        # the f32 squares overflow, the gradient itself is finite
+        g = {"w": np.full(4, 1e20, dtype)}
+        clip_global_norm(g, 5.0)
+        assert g["w"].dtype == dtype
+        np.testing.assert_allclose(g["w"], 2.5, rtol=1e-6)
+
+    def test_infinite_f32_gradient_still_names_parameter(self):
+        g = {"fine": np.ones(3, np.float32), "broken": np.array([np.inf, 1.0], np.float32)}
+        with pytest.raises(NonFiniteGradientError, match="broken"):
+            clip_global_norm(g)
 
 
 class TestInit:
@@ -673,3 +688,99 @@ class TestRandomSearch:
         assert ranked[0].val_ppl <= ranked[1].val_ppl <= ranked[2].val_ppl
         assert all(math.isfinite(t.val_ppl) for t in ranked)
         assert len({t.config.seed for t in ranked}) == 3  # independent derived seeds
+
+
+def run_now(fn, *args):
+    """``tensor.later`` run inline: the walk adds its value at once, like any array
+    or callable, so the walk keeps no contribution waiting."""
+    return fn(*args)
+
+
+class TestBackwardHelper:
+    """The backward walk's weight-gradient GEMMs on ``tensor.later``'s thread."""
+
+    @staticmethod
+    def window(variant, precision, softmax):
+        """One seeded train-mode window's loss, and its seeded model."""
+        vocabs, corpus = tiny_data()
+        cfg = tiny_config(variant=variant, precision=precision, dropout=0.5,
+                          **VARIANT_DIMS[variant])
+        model = build_model(cfg, ModelSizes.from_vocabs(vocabs),
+                            rng=np.random.default_rng(0))
+        sampled = dict(sampler=LogUniformSampler(vocabs.word_freq),
+                       sample_count=sample_count_for(vocabs.word_count, 0.5))
+        inputs, targets, _ = next(batch_stream(corpus.streams["train"], 4, 6))
+        loss, _ = model.window_nll(inputs, targets, corpus, model.zero_state(4),
+                                   mode="train", rng=np.random.default_rng(1),
+                                   **(sampled if softmax == "sampled" else {}))
+        return loss, model
+
+    def two_passes(self, *args):
+        """Every gradient after one backward of the window, and after a second."""
+        loss, model = self.window(*args)
+        T.backward(loss)
+        once = {name: p.grad.copy() for name, p in model.params.items()}
+        T.backward(loss)
+        return once, {name: p.grad for name, p in model.params.items()}
+
+    @pytest.mark.parametrize("softmax", ["full", "sampled"])
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize("variant", list(VARIANT_DIMS))
+    def test_gradients_are_bitwise_those_of_the_inline_walk(self, monkeypatch, variant,
+                                                            precision, softmax):
+        threads = set()
+        helper = T.later
+
+        def on_helper(fn, *args):
+            def task():
+                threads.add(threading.get_ident())
+                return fn(*args)
+            return helper(task)
+
+        monkeypatch.setattr(T, "later", on_helper)
+        once, twice = self.two_passes(variant, precision, softmax)
+        assert threads and threading.get_ident() not in threads
+        monkeypatch.setattr(T, "later", run_now)
+        inline_once, inline_twice = self.two_passes(variant, precision, softmax)
+        for name in once:
+            assert once[name].tobytes() == inline_once[name].tobytes(), name
+            assert twice[name].tobytes() == inline_twice[name].tobytes(), name
+            # a second pass adds the same gradients again
+            assert twice[name].tobytes() == (once[name] + once[name]).tobytes(), name
+
+    def test_windows_leave_at_most_one_extra_thread(self):
+        before = threading.active_count()
+        vocabs, corpus = tiny_data()
+        model = build_model(tiny_config(), ModelSizes.from_vocabs(vocabs),
+                            rng=np.random.default_rng(0))
+        windows = list(batch_stream(corpus.streams["train"], 4, 6))
+        for k in range(50):
+            inputs, targets, _ = windows[k % len(windows)]
+            loss, _ = model.window_nll(inputs, targets, corpus, model.zero_state(4),
+                                       mode="train", rng=np.random.default_rng(k))
+            T.backward(loss)
+            for p in model.params.values():
+                p.grad = None
+        assert threading.active_count() <= before + 1
+
+    def test_no_grad_paths_submit_nothing(self, monkeypatch):
+        vocabs, corpus = tiny_data()
+        model = build_model(tiny_config(), ModelSizes.from_vocabs(vocabs),
+                            rng=np.random.default_rng(0))
+        inputs, targets, _ = next(batch_stream(corpus.streams["train"], 4, 6))
+
+        def refuse(fn, *args):
+            raise AssertionError("a task was submitted to the backward helper")
+
+        monkeypatch.setattr(T, "later", refuse)
+        valid = corpus.streams["valid"]
+        evaluate_stream(model, valid, corpus, steps=6, collect_records=True)
+        perplexity(model, valid, corpus, steps=6)
+        vocabulary_embeddings(model, corpus)
+        with T.no_grad():
+            model.window_nll(inputs, targets, corpus, model.zero_state(4), mode="eval")
+        # the patch is live: a recorded window's backward does submit
+        loss, _ = model.window_nll(inputs, targets, corpus, model.zero_state(4),
+                                   mode="train", rng=np.random.default_rng(0))
+        with pytest.raises(AssertionError, match="submitted"):
+            T.backward(loss)
