@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .corpus import EncodedCorpus, Vocabularies
+from .corpus import EncodedCorpus, Vocabularies, tsv
 from .errors import ConfigError
 from .lm import LanguageModel, _ppl, evaluate_stream
 from .training import count_parameters
@@ -42,9 +42,8 @@ def records_from_eval(raw: list[tuple[int, int, float]],
 
 
 def dump_records(records: list[TokenRecord]) -> str:
-    lines = ["position\tword_id\tprob"]
-    lines += [f"{r.position}\t{r.word_id}\t{r.prob:.17g}" for r in records]
-    return "\n".join(lines) + "\n"
+    return tsv([("position", "word_id", "prob")]
+               + [(r.position, r.word_id, f"{r.prob:.17g}") for r in records])
 
 
 def _check_same_tokens(a: list[TokenRecord], b: list[TokenRecord]) -> None:

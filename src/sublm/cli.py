@@ -25,7 +25,7 @@ from .analysis import (default_freq_bins, dump_records, eval_report,
                        vocabulary_embeddings)
 from .checkpoint import Checkpoint
 from .config import TrainConfig, parse_config
-from .corpus import build_vocabs, encode_corpus, load_vocabs, read_text, save_vocabs
+from .corpus import build_vocabs, encode_corpus, load_vocabs, read_text, save_vocabs, tsv
 from .errors import (BudgetError, ConfigError, NonFiniteGradientError,
                      PatternParseError, VocabMismatchError)
 from .lm import perplexity
@@ -43,6 +43,12 @@ EXIT_BAD_CONFIG = 4
 EXIT_VOCAB_MISMATCH = 5
 EXIT_BUDGET = 6
 EXIT_DIVERGED = 7
+
+# the first type an error is an instance of picks its exit code
+ERROR_EXIT_CODES = ((BudgetError, EXIT_BUDGET), (ConfigError, EXIT_BAD_CONFIG),
+                    (PatternParseError, EXIT_BAD_CONFIG),
+                    (VocabMismatchError, EXIT_VOCAB_MISMATCH),
+                    (NonFiniteGradientError, EXIT_DIVERGED))
 
 STEPS_HELP = ("word-LSTM window length (default: the checkpoint's bptt); it sets "
               "the window only: state is carried across windows, so the "
@@ -206,13 +212,10 @@ def cmd_tune(args) -> int:
     vocabs, corpus = _training_data(config)
     ranked = random_search(config, trials=args.trials, vocabs=vocabs, corpus=corpus,
                            seed=args.seed, log_line=lambda s: print(s, file=sys.stderr))
-    header = "rank\td_s\td_hw\tout_dim\td_lm\tparams\tval_ppl\tseed"
-    lines = [header]
-    for rank, trial in enumerate(ranked, start=1):
-        c = trial.config
-        lines.append(f"{rank}\t{c.d_s}\t{c.d_hw}\t{trial.out_dim}\t{c.d_lm}"
-                     f"\t{trial.param_count}\t{trial.val_ppl:.4f}\t{c.seed}")
-    table = "\n".join(lines) + "\n"
+    table = tsv([("rank", "d_s", "d_hw", "out_dim", "d_lm", "params", "val_ppl", "seed")]
+                + [(rank, t.config.d_s, t.config.d_hw, t.out_dim, t.config.d_lm,
+                    t.param_count, f"{t.val_ppl:.4f}", t.config.seed)
+                   for rank, t in enumerate(ranked, start=1)])
     print(table, end="")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
@@ -274,31 +277,30 @@ def cmd_analyze(args) -> int:
                    for name, _ in models}
     files = {f"records_{name}.tsv": dump_records(records)
              for name, records in all_records.items()}
-    files["report.tsv"] = "model\tsplit\tppl\tparams\ttokens_per_sec\n" + "".join(
-        "\t".join(str(v) for v in row) + "\n" for row in rows)
+    files["report.tsv"] = tsv([("model", "split", "ppl", "params", "tokens_per_sec"),
+                               *rows])
 
-    lines = ["model\tfreq_lo\tfreq_hi\tcount\tppl\n"]
+    lines = [("model", "freq_lo", "freq_hi", "count", "ppl")]
     for name, records in all_records.items():
         bins, _ = ppl_by_frequency(records, freq_bins)
-        lines += [f"{name}\t{lo}\t{hi}\t{count}\t{'' if ppl is None else f'{ppl:.4f}'}\n"
+        lines += [(name, lo, hi, count, "" if ppl is None else f"{ppl:.4f}")
                   for lo, hi, count, ppl in bins]
-    files["freq_ppl.tsv"] = "".join(lines)
+    files["freq_ppl.tsv"] = tsv(lines)
 
-    lines = ["model\t" + "\t".join(f"{t:g}" for t in args.pca_thresholds) + "\n"]
-    for name, model in models:
-        counts = pca_component_counts(vocabulary_embeddings(model, corpus),
-                                      args.pca_thresholds)
-        lines.append(name + "\t" + "\t".join(str(c) for c in counts) + "\n")
-    files["pca.tsv"] = "".join(lines)
+    lines = [("model", *(f"{t:g}" for t in args.pca_thresholds))]
+    lines += [(name, *pca_component_counts(vocabulary_embeddings(model, corpus),
+                                           args.pca_thresholds))
+              for name, model in models]
+    files["pca.tsv"] = tsv(lines)
 
     if len(models) == 2:
         (name_a, _), (name_b, _) = models
         table = shared_errors_table(all_records[name_a], all_records[name_b],
                                     args.p_star_grid)
-        lines = [f"p_star\terr_{name_a}\terr_{name_b}\tfrac_shared\n"]
-        lines += [f"{p_star:g}\t{err_a:.6f}\t{err_b:.6f}\t{frac:.6f}\n"
-                  for p_star, err_a, err_b, frac in table]
-        files["shared_errors.tsv"] = "".join(lines)
+        files["shared_errors.tsv"] = tsv(
+            [("p_star", f"err_{name_a}", f"err_{name_b}", "frac_shared")]
+            + [(f"{p_star:g}", f"{err_a:.6f}", f"{err_b:.6f}", f"{frac:.6f}")
+               for p_star, err_a, err_b, frac in table])
 
     os.makedirs(args.out, exist_ok=True)
     for file_name, content in files.items():
@@ -392,15 +394,9 @@ def run(argv) -> int:
                   else err.strerror or "unreadable file")
         print(f"error: {reason}: {err.filename or err}", file=sys.stderr)
         return EXIT_MISSING_FILE
-    except (ConfigError, PatternParseError) as err:
+    except tuple(kind for kind, _ in ERROR_EXIT_CODES) as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_BUDGET if isinstance(err, BudgetError) else EXIT_BAD_CONFIG
-    except VocabMismatchError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_VOCAB_MISMATCH
-    except NonFiniteGradientError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DIVERGED
+        return next(code for kind, code in ERROR_EXIT_CODES if isinstance(err, kind))
 
 
 def main() -> None:

@@ -103,12 +103,14 @@ class Composer:
     Each variant's class checks the config keys it reads and passes the
     width of the word vector it composes as ``out_dim``.  The checks every
     variant shares run here: ``highway_layers >= 0`` and, for a variant that
-    reads subwords, ``d_s >= 1`` and ``max_subwords`` (n) ``>= 1``.
+    reads subwords, ``d_s >= 1`` and ``max_subwords`` (n) ``>= 1``.  Right
+    after them the base draws such a variant's subword table ``e_s``, so it
+    is the first draw and the first parameter of every subword variant.
     """
 
     uses_subwords = True
 
-    def __init__(self, config: TrainConfig, sizes: ModelSizes, out_dim: int):
+    def __init__(self, config: TrainConfig, sizes: ModelSizes, out_dim: int, init):
         if config.highway_layers < 0:
             raise ConfigError(f"highway_layers must be >= 0, got {config.highway_layers}")
         n = sizes.max_subwords
@@ -120,6 +122,9 @@ class Composer:
         self.n = n
         self.out_dim = out_dim
         self.params: dict[str, Tensor] = {}
+        if self.uses_subwords:
+            self.e_s = Tensor(init((sizes.subword_vocab_size, config.d_s)))
+            self.params["e_s"] = self.e_s
 
     def __call__(self, word_ids: np.ndarray, rows: np.ndarray,
                  lengths: np.ndarray) -> Tensor:
@@ -132,7 +137,7 @@ class WordDirect(Composer):
     uses_subwords = False
 
     def __init__(self, config, sizes, init):
-        super().__init__(config, sizes, config.d_w)
+        super().__init__(config, sizes, config.d_w, init)
         if config.d_w < 1:
             raise ConfigError("word-direct needs d_w >= 1")
         self.e_w = Tensor(init((sizes.vocab_size, config.d_w)))
@@ -153,12 +158,10 @@ class SylLSTM(Composer):
     """
 
     def __init__(self, config, sizes, init):
-        super().__init__(config, sizes, config.d_w)
+        super().__init__(config, sizes, config.d_w, init)
         if config.d_w < 1:
             raise ConfigError("syl-lstm needs d_w >= 1 (its hidden size)")
-        self.e_s = Tensor(init((sizes.subword_vocab_size, config.d_s)))
         self.cell = T.lstm_params(config.d_s, config.d_w, init)
-        self.params["e_s"] = self.e_s
         self.params.update(zip(("cell.wx", "cell.wh", "cell.b"), self.cell))
 
     def __call__(self, word_ids, rows, lengths):
@@ -191,12 +194,10 @@ class SylCNN(Composer):
         if config.cnn_depth_unit and config.d_hw and config.d_hw != total:
             raise ConfigError(
                 f"syl-cnn d_hw={config.d_hw} but the filter banks give {total}")
-        super().__init__(config, sizes, total)
+        super().__init__(config, sizes, total, init)
         if config.cnn_max_width > self.n:
             raise ConfigError(f"filter width {config.cnn_max_width} exceeds max "
                               f"subwords per word n={self.n}")
-        self.e_s = Tensor(init((sizes.subword_vocab_size, config.d_s)))
-        self.params["e_s"] = self.e_s
         self.banks = []
         for width, depth in spec:
             w = Tensor(init((width * config.d_s, depth)))
@@ -226,9 +227,7 @@ class SylLinear(Composer):
     """
 
     def __init__(self, config, sizes, init):
-        super().__init__(config, sizes, config.d_s)
-        self.e_s = Tensor(init((sizes.subword_vocab_size, config.d_s)))
-        self.params["e_s"] = self.e_s
+        super().__init__(config, sizes, config.d_s, init)
         if config.variant == "syl-avg-a":
             self.a = Tensor(init((self.n,)))
             self.params["a"] = self.a
@@ -264,15 +263,13 @@ class SylConcat(Composer):
     :func:`tensor.masked_concat`, ``affine`` and :func:`tensor.highway`."""
 
     def __init__(self, config, sizes, init):
-        super().__init__(config, sizes, config.d_hw)
+        super().__init__(config, sizes, config.d_hw, init)
         if config.d_hw < 1:
             raise ConfigError("syl-concat needs d_hw >= 1")
         n, d_s, d_hw = self.n, config.d_s, config.d_hw
-        self.e_s = Tensor(init((sizes.subword_vocab_size, d_s)))
         self.proj_w = Tensor(init((n * d_s, d_hw)))
         self.proj_b = Tensor(init((d_hw,)))
-        self.params.update({"e_s": self.e_s, "proj.w": self.proj_w,
-                            "proj.b": self.proj_b})
+        self.params.update({"proj.w": self.proj_w, "proj.b": self.proj_b})
         self.highway = HighwayStack(d_hw, config.highway_layers, init)
         self.params.update(self.highway.params)
 

@@ -25,6 +25,12 @@ UNK_SUB = "<unk_sub>"
 PAD = "<pad>"
 
 
+def tsv(rows) -> str:
+    """Tab-separated text: one line per row, each value as ``str`` gives it
+    (format a float first, say ``f"{x:.4f}"``), each line ending in a newline."""
+    return "".join("\t".join(map(str, row)) + "\n" for row in rows)
+
+
 @dataclass
 class Vocabularies:
     """Word and subword vocabularies plus training-frequency bookkeeping.
@@ -70,13 +76,10 @@ class Vocabularies:
         return self.sub_to_id[UNK_SUB]
 
     def word_dump(self) -> str:
-        lines = [f"{i}\t{w}\t{int(self.word_freq[i])}"
-                 for i, w in enumerate(self.id_to_word)]
-        return "\n".join(lines) + "\n"
+        return tsv((i, w, int(self.word_freq[i])) for i, w in enumerate(self.id_to_word))
 
     def subword_dump(self) -> str:
-        lines = [f"{i}\t{s}\t0" for i, s in enumerate(self.id_to_sub)]
-        return "\n".join(lines) + "\n"
+        return tsv((i, s, 0) for i, s in enumerate(self.id_to_sub))
 
     def hashes(self) -> dict[str, str]:
         return {

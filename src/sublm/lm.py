@@ -210,11 +210,11 @@ def sampled_softmax_nll(h: Tensor, w_out: Tensor, b_out: Tensor,
     """
     hv, wv, bv = h.data, w_out.data, b_out.data
     (m, d), v = hv.shape, wv.shape[1]
-    targets = np.asarray(targets).reshape(-1)
     if not 0 < sample_count < v:
         raise ConfigError(f"sampled softmax needs 0 < sample count < vocabulary size "
                           f"{v}, got {sample_count}; lower sample_fraction or use "
                           f"softmax = full")
+    targets = T._check_targets("sampled_softmax_nll", targets, m, v)
     k = sample_count
     drawn, tries = sampler.sample(rng, k + 1)
     pool = np.sort(drawn)

@@ -50,27 +50,23 @@ def load_patterns(pattern_text: str, exceptions_text: str = "",
     if left_min < 1 or right_min < 1:
         raise ConfigError("left_min and right_min must be at least 1")
     trie: dict = {}
-    for lineno, raw in enumerate(pattern_text.splitlines(), start=1):
-        line = raw.split("%", 1)[0].strip()
-        if not line:
-            continue
-        for token in line.split():
-            chars, points = _parse_pattern(token, lineno)
-            node = trie
-            for ch in chars:
-                node = node.setdefault(ch, {})
-            node[_POINTS] = tuple(map(max, node.get(_POINTS, points), points))
-
-    exceptions: dict[str, tuple[int, ...]] = {}
-    for lineno, raw in enumerate(exceptions_text.splitlines(), start=1):
-        line = raw.split("%", 1)[0].strip()
-        if not line:
-            continue
-        for token in line.split():
-            word, breaks = _parse_exception(token, lineno)
-            exceptions[word] = breaks
+    for lineno, token in _tokens(pattern_text):
+        chars, points = _parse_pattern(token, lineno)
+        node = trie
+        for ch in chars:
+            node = node.setdefault(ch, {})
+        node[_POINTS] = tuple(map(max, node.get(_POINTS, points), points))
+    exceptions = dict(_parse_exception(token, lineno)
+                      for lineno, token in _tokens(exceptions_text))
     return PatternSet(trie=trie, exceptions=exceptions,
                       left_min=left_min, right_min=right_min)
+
+
+def _tokens(text: str):
+    """(line number, token) for each whitespace-separated token, ``%`` comments removed."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        for token in line.split("%", 1)[0].split():
+            yield lineno, token
 
 
 def _parse_pattern(token: str, lineno: int) -> tuple[str, tuple[int, ...]]:

@@ -36,8 +36,14 @@ def build_model(config: TrainConfig, sizes: ModelSizes,
     zero-stride views, so almost nothing is allocated and nothing can train on it.
     """
     dtype = np.float64 if config.precision == "f64" else np.float32
-    init = (uniform_init(rng, config.init_range, dtype) if rng is not None
-            else lambda shape: np.broadcast_to(np.zeros((), dtype), shape))
+
+    def shape_only(shape):
+        try:
+            return np.broadcast_to(np.zeros((), dtype), shape)
+        except ValueError as err:  # say, more elements than numpy can index
+            raise ConfigError(f"cannot build a parameter of shape {shape}: {err}") from None
+
+    init = uniform_init(rng, config.init_range, dtype) if rng is not None else shape_only
     composer = build_composer(config, sizes, init=init)
     if config.d_lm < 1:
         raise ConfigError("d_lm must be positive")

@@ -30,4 +30,6 @@ def test_every_traced_name_exists(monkeypatch):
 def test_patched_and_called_names_exist():
     assert callable(lm.full_softmax_nll)
     assert callable(tensor.Graph)
+    with tensor.Graph(rng=None):
+        pass
     inspect.signature(corpus.encode_corpus).bind({}, None, None)

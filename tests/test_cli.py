@@ -152,6 +152,19 @@ class TestParams:
         assert capsys.readouterr().out == f"params\t{count}\n"
         assert run(["train", "--config", str(cfg), "--out", str(tmp_path / "m.ckpt")]) == 0
 
+    @pytest.mark.parametrize("key, value", [("d_lm", "1e30"), ("d_hw", "99999999999")])
+    def test_oversized_dimension_exits_4(self, tmp_path, capsys, key, value):
+        # numpy cannot index such a parameter, not even as a zero-stride view
+        with open(os.path.join(REPO, "configs", "syl-concat-5m.cfg")) as f:
+            text = f.read()
+        assert f"\n{key} = 300\n" in text
+        cfg = tmp_path / "oversized.cfg"
+        cfg.write_text(text.replace(f"\n{key} = 300\n", f"\n{key} = {value}\n"))
+        assert run(["params", "--config", str(cfg)]) == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "parameter of shape" in lines[0] and "Traceback" not in lines[0]
+
     def test_size_keys_without_data_need_both_vocabulary_sizes(self, tmp_path, capsys):
         cfg = tmp_path / "no-subwords.cfg"
         cfg.write_text("variant = word-direct\nd_w = 50\nd_lm = 300\nvocab_size = 10000\n")

@@ -8,6 +8,7 @@ from sublm.composition import (COMPOSERS, Composer, HighwayStack, ModelSizes,
                                build_composer, uniform_init, zeros_init)
 from sublm.config import TrainConfig
 from sublm.errors import ConfigError
+from sublm.training import build_model
 
 S_VOCAB = 9
 W_VOCAB = 7
@@ -350,6 +351,19 @@ RECORDED_OPS = {
     "syl-avg-b": ["attention_pool", "highway", "lookup"],
     "syl-concat": ["affine", "highway", "masked_concat"],
 }
+
+
+@pytest.mark.parametrize("precision, dtype", [("f32", np.float32), ("f64", np.float64)])
+@pytest.mark.parametrize("variant", [v for v in COMPOSERS if COMPOSERS[v].uses_subwords])
+def test_subword_table_is_the_first_draw(variant, precision, dtype):
+    # the base class draws e_s before any parameter of the variant's own
+    cfg = TrainConfig(variant=variant, d_s=3, d_w=4, d_hw=6, d_lm=5, cnn_max_width=2,
+                      cnn_depth_unit=2, init_range=0.1, precision=precision)
+    model = build_model(cfg, ModelSizes(W_VOCAB, S_VOCAB, 4), np.random.default_rng(11))
+    name, e_s = next(iter(model.params.items()))
+    assert name == "composer.e_s" and e_s.data.shape == (S_VOCAB, 3)
+    expected = np.random.default_rng(11).uniform(-0.1, 0.1, (S_VOCAB, 3)).astype(dtype)
+    assert e_s.data.dtype == dtype and e_s.data.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("variant", VARIANTS_FOR_GRAD)

@@ -217,6 +217,15 @@ class TestVocabFiles:
         assert loaded.n == v.n
         assert loaded.hashes() == v.hashes()
 
+    def test_dump_format_is_pinned(self, chars):
+        # hashes() digests these dumps, so the checkpoints' vocabulary hashes rest on them
+        v = C.build_vocabs("the cat sat\nthe dog\n", chars)
+        assert v.word_dump() == ("0\t<eos>\t2\n1\tthe\t2\n2\tcat\t1\n3\tdog\t1\n"
+                                 "4\tsat\t1\n5\t<unk>\t0\n")
+        assert v.subword_dump() == ("0\tt\t0\n1\t<eos>\t0\n2\ta\t0\n3\te\t0\n4\th\t0\n"
+                                    "5\tc\t0\n6\td\t0\n7\tg\t0\n8\to\t0\n9\ts\t0\n"
+                                    "10\t<pad>\t0\n11\t<unk>\t0\n12\t<unk_sub>\t0\n")
+
     def test_hash_changes_with_content(self, chars):
         a = C.build_vocabs("cat dog\n", chars)
         b = C.build_vocabs("cat bird\n", chars)

@@ -11,7 +11,7 @@ from sublm import tensor as T
 from sublm.composition import ModelSizes, build_composer, uniform_init
 from sublm.config import TrainConfig
 from sublm.corpus import EncodedCorpus, eval_windows
-from sublm.errors import ConfigError
+from sublm.errors import ConfigError, DimensionError
 from sublm.lm import (LanguageModel, LogUniformSampler, _sample_unique,
                       evaluate_stream, full_softmax_nll, perplexity,
                       sample_count_for, sampled_softmax_nll)
@@ -431,6 +431,21 @@ class TestSampledSoftmax:
         h, w, b, targets = self._setup(rng)
         with pytest.raises(ConfigError, match="sample count"):
             sampled_softmax_nll(h, w, b, targets, count, UniformSampler(12),
+                                np.random.default_rng(0))
+
+    @pytest.mark.parametrize("bad", [-1, 12])
+    def test_target_out_of_range_is_an_index_error(self, rng, bad):
+        # a target of -1 would score word V-1 in its place
+        h, w, b, targets = self._setup(rng)
+        targets[2] = bad
+        with pytest.raises(IndexError, match="sampled_softmax_nll: target out of range"):
+            sampled_softmax_nll(h, w, b, targets, 6, UniformSampler(12),
+                                np.random.default_rng(0))
+
+    def test_target_count_mismatch_is_a_dimension_error(self, rng):
+        h, w, b, targets = self._setup(rng)
+        with pytest.raises(DimensionError, match="4 targets for 5 rows"):
+            sampled_softmax_nll(h, w, b, targets[:-1], 6, UniformSampler(12),
                                 np.random.default_rng(0))
 
     def test_paper_sample_fraction(self):

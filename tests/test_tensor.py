@@ -478,6 +478,15 @@ class TestOpsMisc:
         with pytest.raises(IndexError):
             T.lookup(t(rng.normal(size=(4, 2))), np.array([4]))
 
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_attention_pool_row_out_of_range(self, rng, bad):
+        # a row of -1 would read the table's last row
+        seq = t(rng.normal(size=(2, 3, 2)))
+        table = t(rng.normal(size=(4, 3)))
+        rows = np.array([[0, 1, 2], [3, bad, 0]])
+        with pytest.raises(IndexError, match="attention_pool"):
+            T.attention_pool(seq, np.array([3, 2]), t(rng.normal(size=3)), table, rows)
+
     def test_masked_softmax_rows(self, rng):
         # attention_pool's weights: a softmax over each row's first lengths[i] entries
         seq = t(rng.normal(size=(3, 5, 2)))
