@@ -1,9 +1,9 @@
 """Model-comparison instruments: shared errors, perplexity by token
 frequency, PCA component counts of word embeddings, and evaluation reports.
 
-All functions work on per-token probability records (one record per test
-token per model) or frozen checkpointed models; everything is pure and
-deterministic.
+All functions work on per-token records, the ``(position, word_id, prob)``
+triples ``lm.evaluate_stream`` returns (one per test token per model), or on
+frozen checkpointed models; everything is pure and deterministic.
 """
 
 from __future__ import annotations
@@ -11,48 +11,31 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .corpus import EncodedCorpus, Vocabularies, tsv
+from .corpus import EncodedCorpus, tsv
 from .errors import ConfigError
 from .lm import LanguageModel, _ppl, evaluate_stream
 from .training import count_parameters
 
 log = logging.getLogger("sublm")
 
-
-@dataclass(frozen=True)
-class TokenRecord:
-    """One test token under one model: where, what, and how likely."""
-
-    position: int
-    word_id: int
-    prob: float
-    freq: int
+Record = tuple[int, int, float]  # (position, word_id, prob)
 
 
-def records_from_eval(raw: list[tuple[int, int, float]],
-                      vocabs: Vocabularies) -> list[TokenRecord]:
-    """Attach training frequencies to (position, word_id, prob) triples."""
-    return [TokenRecord(pos, wid, prob, int(vocabs.word_freq[wid]))
-            for pos, wid, prob in raw]
-
-
-def dump_records(records: list[TokenRecord]) -> str:
+def dump_records(records: list[Record]) -> str:
     return tsv([("position", "word_id", "prob")]
-               + [(r.position, r.word_id, f"{r.prob:.17g}") for r in records])
+               + [(pos, wid, f"{prob:.17g}") for pos, wid, prob in records])
 
 
-def _check_same_tokens(a: list[TokenRecord], b: list[TokenRecord]) -> None:
-    if len(a) != len(b) or any(x.position != y.position or x.word_id != y.word_id
-                               for x, y in zip(a, b)):
+def _check_same_tokens(a: list[Record], b: list[Record]) -> None:
+    if len(a) != len(b) or any(x[:2] != y[:2] for x, y in zip(a, b)):
         raise ValueError("record lists cover different token sets")
 
 
-def shared_errors(records_a: list[TokenRecord], records_b: list[TokenRecord],
+def shared_errors(records_a: list[Record], records_b: list[Record],
                   p_star: float):
     """Fraction of errors shared by two models at threshold p_star.
 
@@ -61,8 +44,8 @@ def shared_errors(records_a: list[TokenRecord], records_b: list[TokenRecord],
     frac_shared is |A and B| / |A or B| (1.0 when neither model errs).
     """
     _check_same_tokens(records_a, records_b)
-    errs_a = {r.position for r in records_a if r.prob < p_star}
-    errs_b = {r.position for r in records_b if r.prob < p_star}
+    errs_a = {pos for pos, _, prob in records_a if prob < p_star}
+    errs_b = {pos for pos, _, prob in records_b if prob < p_star}
     union = errs_a | errs_b
     frac = len(errs_a & errs_b) / len(union) if union else 1.0
     total = len(records_a)
@@ -86,25 +69,27 @@ def default_freq_bins(max_freq: int) -> list[int]:
     return edges
 
 
-def ppl_by_frequency(records: list[TokenRecord], bin_edges):
+def ppl_by_frequency(records: list[Record], word_freq, bin_edges):
     """Per-bin perplexity over half-open frequency bins [e_i, e_{i+1}).
 
-    Bins must cover every token's training frequency; together they see each
-    test token exactly once.  Returns (rows, overall_ppl) with rows of
-    (lo, hi, count, ppl); empty bins report a count of 0 and no ppl.  A
-    probability of 0 is an infinite NLL, and a ppl that overflows is inf.
+    A token's training frequency is ``word_freq[word_id]``.  Bins must cover
+    every token's frequency; together they see each test token exactly once.
+    Returns (rows, overall_ppl) with rows of (lo, hi, count, ppl); empty bins
+    report a count of 0 and no ppl.  A probability of 0 is an infinite NLL,
+    and a ppl that overflows is inf.
     """
     edges = list(bin_edges)
     if sorted(edges) != edges or len(edges) < 2:
         raise ValueError("bin edges must be an increasing sequence")
     nll_sums = [0.0] * (len(edges) - 1)
     counts = [0] * (len(edges) - 1)
-    for r in records:
-        idx = np.searchsorted(edges, r.freq, side="right") - 1
+    for _, word_id, prob in records:
+        freq = int(word_freq[word_id])
+        idx = np.searchsorted(edges, freq, side="right") - 1
         if idx < 0 or idx >= len(counts):
             raise ValueError(
-                f"token frequency {r.freq} falls outside the bins {edges}")
-        nll_sums[idx] += -math.log(r.prob) if r.prob > 0.0 else math.inf
+                f"token frequency {freq} falls outside the bins {edges}")
+        nll_sums[idx] += -math.log(prob) if prob > 0.0 else math.inf
         counts[idx] += 1
     rows = []
     for i in range(len(counts)):
@@ -161,7 +146,7 @@ def vocabulary_embeddings(model: LanguageModel, corpus: EncodedCorpus) -> np.nda
 
 def eval_report(named_models: list[tuple[str, LanguageModel]],
                 named_streams: list[tuple[str, np.ndarray]],
-                corpus: EncodedCorpus, steps: int = 70):
+                corpus: EncodedCorpus, steps: int):
     """Perplexity, size, and throughput of each model on each split.
 
     Each model scores each split in one timed ``evaluate_stream`` pass.

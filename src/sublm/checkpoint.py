@@ -107,7 +107,10 @@ class Checkpoint:
                         raise ConfigError(f"{path}: unknown dtype tag {tag!r}")
                     shape = unpack(f"<{unpack('<B')[0]}Q")
                     check(math.prod(shape) * _DTYPES[tag].itemsize)
-                    arrays[name] = np.empty(shape, _DTYPES[tag])
+                    try:  # a zero-size shape passes the byte check at any dims
+                        arrays[name] = np.empty(shape, _DTYPES[tag])
+                    except ValueError as err:  # too many or too large dims
+                        raise ConfigError(f"{path}: malformed checkpoint ({err!r})") from None
                     f.readinto(arrays[name].data)
                 return Checkpoint(config=header["config"],
                                   vocab_hashes=header["vocab_hashes"],

@@ -5,8 +5,8 @@ carries data (tables, metrics, segmentations); diagnostics go to stderr.
 Relative data paths inside a config file resolve against the config file's
 directory.  Exit codes: 0 success, 2 usage, 3 missing or unreadable file
 (a text file that is not UTF-8 is unreadable), 4 malformed config, pattern
-or checkpoint file, 5 vocabulary mismatch, 6 budget violation, 7 numerical
-divergence.
+or checkpoint file, or out of memory, 5 vocabulary mismatch, 6 budget
+violation, 7 numerical divergence.
 """
 
 from __future__ import annotations
@@ -21,16 +21,15 @@ import numpy as np
 
 from .analysis import (default_freq_bins, dump_records, eval_report,
                        pca_component_counts, ppl_by_frequency,
-                       records_from_eval, shared_errors_table,
-                       vocabulary_embeddings)
+                       shared_errors_table, vocabulary_embeddings)
 from .checkpoint import Checkpoint
 from .config import TrainConfig, parse_config
 from .corpus import build_vocabs, encode_corpus, load_vocabs, read_text, save_vocabs, tsv
 from .errors import (BudgetError, ConfigError, NonFiniteGradientError,
                      PatternParseError, VocabMismatchError)
 from .lm import perplexity
-from .syllabify import Segmenter, load_default_patterns, load_patterns, \
-    load_segmentation_overrides
+from .syllabify import (MODES, Segmenter, load_default_patterns, load_patterns,
+                        load_segmentation_overrides)
 from .training import (ModelSizes, build_model, count_parameters,
                        model_from_checkpoint, random_search, train)
 
@@ -273,16 +272,14 @@ def cmd_analyze(args) -> int:
     # error leaves nothing behind
     rows, text, raw = eval_report(models, [("eval", corpus.streams["eval"])],
                                   corpus, steps=steps)
-    all_records = {name: records_from_eval(raw[name, "eval"], shared_vocabs)
-                   for name, _ in models}
-    files = {f"records_{name}.tsv": dump_records(records)
-             for name, records in all_records.items()}
+    files = {f"records_{name}.tsv": dump_records(raw[name, "eval"])
+             for name, _ in models}
     files["report.tsv"] = tsv([("model", "split", "ppl", "params", "tokens_per_sec"),
                                *rows])
 
     lines = [("model", "freq_lo", "freq_hi", "count", "ppl")]
-    for name, records in all_records.items():
-        bins, _ = ppl_by_frequency(records, freq_bins)
+    for name, _ in models:
+        bins, _ = ppl_by_frequency(raw[name, "eval"], shared_vocabs.word_freq, freq_bins)
         lines += [(name, lo, hi, count, "" if ppl is None else f"{ppl:.4f}")
                   for lo, hi, count, ppl in bins]
     files["freq_ppl.tsv"] = tsv(lines)
@@ -295,7 +292,7 @@ def cmd_analyze(args) -> int:
 
     if len(models) == 2:
         (name_a, _), (name_b, _) = models
-        table = shared_errors_table(all_records[name_a], all_records[name_b],
+        table = shared_errors_table(raw[name_a, "eval"], raw[name_b, "eval"],
                                     args.p_star_grid)
         files["shared_errors.tsv"] = tsv(
             [("p_star", f"err_{name_a}", f"err_{name_b}", "frac_shared")]
@@ -317,8 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def add_segmentation_flags(p):
-        p.add_argument("--mode", choices=["liang", "chars", "external"],
-                       default="liang")
+        p.add_argument("--mode", choices=MODES, default="liang")
         p.add_argument("--patterns", default="", help="TeX-style pattern file "
                        "(default: bundled English patterns)")
         p.add_argument("--exceptions", default="", help="hyphenation exceptions file")
@@ -394,6 +390,9 @@ def run(argv) -> int:
                   else err.strerror or "unreadable file")
         print(f"error: {reason}: {err.filename or err}", file=sys.stderr)
         return EXIT_MISSING_FILE
+    except MemoryError as err:  # the config asks for more than fits
+        print(f"error: out of memory: {err}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
     except tuple(kind for kind, _ in ERROR_EXIT_CODES) as err:
         print(f"error: {err}", file=sys.stderr)
         return next(code for kind, code in ERROR_EXIT_CODES if isinstance(err, kind))

@@ -46,19 +46,19 @@ class ModelSizes:
                           config.max_subwords)
 
 
-def banks(config: TrainConfig) -> tuple[tuple[int, int], ...]:
-    """syl-cnn's (width, depth) per convolution bank.
+def depth_unit(config: TrainConfig) -> int:
+    """syl-cnn's filters per unit of width.
 
-    Widths run 1..``cnn_max_width`` with ``cnn_depth_unit`` * width filters
-    each (Kim et al., 2016).  Without an explicit unit, ``d_hw`` picks the
-    unit whose total width comes nearest, so a sampled d_hw reaches syl-cnn
-    as the target width of its banks.
+    Bank widths run 1..``cnn_max_width`` with ``cnn_depth_unit`` * width
+    filters each (Kim et al., 2016).  Without an explicit unit, ``d_hw``
+    picks the unit whose total width comes nearest, so a sampled d_hw
+    reaches syl-cnn as the target width of its banks.
     """
     unit = config.cnn_depth_unit
     if not unit and config.cnn_max_width:
         triangle = config.cnn_max_width * (config.cnn_max_width + 1) // 2
         unit = max(1, round(config.d_hw / triangle))
-    return tuple((l, unit * l) for l in range(1, config.cnn_max_width + 1))
+    return unit
 
 
 def uniform_init(rng: np.random.Generator, init_range: float, dtype=np.float64):
@@ -189,19 +189,18 @@ class SylCNN(Composer):
         if config.cnn_max_width < 1 or config.cnn_depth_unit < 0 or config.d_hw < 0:
             raise ConfigError("syl-cnn needs cnn_max_width >= 1, cnn_depth_unit "
                               ">= 0 and d_hw >= 0")
-        spec = banks(config)
-        total = sum(depth for _, depth in spec)
+        unit, widths = depth_unit(config), config.cnn_max_width
+        total = unit * widths * (widths + 1) // 2  # the banks' depths, summed
         if config.cnn_depth_unit and config.d_hw and config.d_hw != total:
             raise ConfigError(
                 f"syl-cnn d_hw={config.d_hw} but the filter banks give {total}")
         super().__init__(config, sizes, total, init)
-        if config.cnn_max_width > self.n:
-            raise ConfigError(f"filter width {config.cnn_max_width} exceeds max "
-                              f"subwords per word n={self.n}")
+        if widths > self.n:
+            raise ConfigError(f"filter width {widths} exceeds max subwords per word n={self.n}")
         self.banks = []
-        for width, depth in spec:
-            w = Tensor(init((width * config.d_s, depth)))
-            b = Tensor(init((depth,)))
+        for width in range(1, widths + 1):
+            w = Tensor(init((width * config.d_s, unit * width)))
+            b = Tensor(init((unit * width,)))
             self.params[f"conv{width}.w"] = w
             self.params[f"conv{width}.b"] = b
             self.banks.append((width, w, b))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import errno
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,15 +37,20 @@ class Vocabularies:
 
     ``segmentations[w]`` lists the subwords of word id w, ``n`` the most any
     word has (the dumps and hashes leave them out); ``word_freq`` sums to
-    the training token count.  Immutable by convention after construction.
+    the training token count.  ``word_to_id`` and ``sub_to_id`` are derived
+    from the id lists.  Immutable by convention after construction.
     """
 
-    word_to_id: dict[str, int]
     id_to_word: list[str]
     word_freq: np.ndarray
-    sub_to_id: dict[str, int]
     id_to_sub: list[str]
     segmentations: list[list[str]]
+    word_to_id: dict[str, int] = field(init=False)
+    sub_to_id: dict[str, int] = field(init=False)
+
+    def __post_init__(self):
+        self.word_to_id = {w: i for i, w in enumerate(self.id_to_word)}
+        self.sub_to_id = {s: i for i, s in enumerate(self.id_to_sub)}
 
     @property
     def n(self) -> int:
@@ -161,7 +166,6 @@ def build_vocabs(train_text: str, segmenter: Segmenter,
         counts = {w: counts[w] for w in keep}
 
     id_to_word = sorted(counts, key=lambda w: (-counts[w], w))
-    word_to_id = {w: i for i, w in enumerate(id_to_word)}
     word_freq = np.array([counts[w] for w in id_to_word], dtype=np.int64)
 
     segmentations = _segment_words(id_to_word, segmenter)
@@ -172,10 +176,7 @@ def build_vocabs(train_text: str, segmenter: Segmenter,
     sub_counts.setdefault(UNK_SUB, 0)
     sub_counts.setdefault(PAD, 0)
     id_to_sub = sorted(sub_counts, key=lambda s: (-sub_counts[s], s))
-    sub_to_id = {s: i for i, s in enumerate(id_to_sub)}
-
-    return Vocabularies(word_to_id=word_to_id, id_to_word=id_to_word,
-                        word_freq=word_freq, sub_to_id=sub_to_id,
+    return Vocabularies(id_to_word=id_to_word, word_freq=word_freq,
                         id_to_sub=id_to_sub, segmentations=segmentations)
 
 
@@ -287,9 +288,5 @@ def load_vocabs(words_path, subwords_path, segmenter: Segmenter) -> Vocabularies
     for special in (UNK_SUB, PAD):
         if special not in id_to_sub:
             raise ConfigError(f"subword vocab is missing {special}")
-    return Vocabularies(
-        word_to_id={w: i for i, w in enumerate(id_to_word)},
-        id_to_word=id_to_word, word_freq=word_freq,
-        sub_to_id={s: i for i, s in enumerate(id_to_sub)},
-        id_to_sub=id_to_sub,
-        segmentations=_segment_words(id_to_word, segmenter))
+    return Vocabularies(id_to_word=id_to_word, word_freq=word_freq, id_to_sub=id_to_sub,
+                        segmentations=_segment_words(id_to_word, segmenter))

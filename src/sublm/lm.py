@@ -44,7 +44,6 @@ class LanguageModel:
                  dropout_rate: float = 0.5, init=zeros_init):
         self.composer = composer
         self.d_lm = d_lm
-        self.vocab_size = vocab_size
         self.dropout_rate = dropout_rate
         self.cells = [T.lstm_params(composer.out_dim, d_lm, init),
                       T.lstm_params(d_lm, d_lm, init)]
@@ -292,7 +291,7 @@ def _hidden_blocks(model: LanguageModel, stream: np.ndarray, corpus: EncodedCorp
 
 
 def evaluate_stream(model: LanguageModel, stream: np.ndarray,
-                    corpus: EncodedCorpus, steps: int = 70,
+                    corpus: EncodedCorpus, steps: int,
                     collect_records: bool = False):
     """Full-softmax NLL over a whole stream at batch 1 with carried state.
 
@@ -333,7 +332,7 @@ def _ppl(total_nll: float, count: int) -> float:
 
 
 def perplexity(model: LanguageModel, stream: np.ndarray, corpus: EncodedCorpus,
-               steps: int = 70) -> float:
+               steps: int) -> float:
     """exp(mean NLL) over the stream; the reporting metric everywhere."""
     total, count, _ = evaluate_stream(model, stream, corpus, steps=steps)
     return _ppl(total, count)

@@ -419,11 +419,12 @@ def lstm_params(input_dim: int, hidden_dim: int, init) -> tuple[Tensor, Tensor, 
     """A cell's ``(wx, wh, b)`` from ``init(shape)``, whatever its dtype.
 
     The gates are fused as (i, f, o, g) blocks of ``hidden_dim`` columns.
-    The forget biases are 1 in a new ``b``, as writeable as ``init``'s arrays.
+    The forget biases are set to 1 in ``init``'s own ``b`` when it is
+    writeable; a read-only (shape-only) ``b`` is kept as it is.
     """
-    drawn = init((4 * hidden_dim,))
-    b = np.where(np.arange(drawn.size) // hidden_dim == 1, 1, drawn)
-    b.flags.writeable = drawn.flags.writeable
+    b = init((4 * hidden_dim,))
+    if b.flags.writeable:
+        b[hidden_dim:2 * hidden_dim] = 1
     return (Tensor(init((input_dim, 4 * hidden_dim))),
             Tensor(init((hidden_dim, 4 * hidden_dim))), Tensor(b))
 

@@ -32,8 +32,8 @@ def build_model(config: TrainConfig, sizes: ModelSizes,
     """Build the model, random uniform init drawn from ``rng``.
 
     Without an rng the build is shape-only, for counting and for loading a
-    checkpoint: its arrays are read-only, and all but the LSTM biases are
-    zero-stride views, so almost nothing is allocated and nothing can train on it.
+    checkpoint: every array is a read-only zero-stride view (the LSTM forget
+    biases stay 0), so almost nothing is allocated and nothing can train on it.
     """
     dtype = np.float64 if config.precision == "f64" else np.float32
 

@@ -19,14 +19,14 @@ from fdiff import check_grads, safe_instance
 from sublm import tensor as T
 from sublm.analysis import (pca_component_counts, ppl_by_frequency,
                             shared_errors)
-from sublm.composition import HighwayStack, zeros_init
+from sublm.composition import COMPOSERS, HighwayStack, zeros_init
 from sublm.config import TrainConfig
 from sublm.corpus import build_vocabs, encode_corpus
 from sublm.lm import LanguageModel, evaluate_stream, perplexity
 from sublm.syllabify import Segmenter, hyphenate, load_default_patterns
 from sublm.training import (ModelSizes, build_model, count_parameters,
                             model_from_checkpoint, train)
-from test_analysis import random_records, rec
+from test_analysis import FREQ, random_records, rec
 from test_composition import make as make_composer
 from test_composition import random_batch, variant_instance
 from test_lm import toy_corpus, toy_model
@@ -50,8 +50,7 @@ def criterion(number, label, budget_seconds):
     print(f"\nACCEPTANCE {number} {label}: PASS ({elapsed:.1f}s)")
 
 
-VARIANTS = ["word-direct", "syl-lstm", "syl-cnn", "syl-sum", "syl-avg",
-            "syl-avg-a", "syl-avg-b", "syl-concat"]
+VARIANTS = list(COMPOSERS)
 
 
 def test_criterion_1_gradient_suite():
@@ -295,7 +294,7 @@ def test_criterion_7_analysis_properties():
             frac, _, _ = shared_errors(records, records, p_star)
             assert frac == 1.0
 
-        rows, overall = ppl_by_frequency(records, [0, 10_000])
+        rows, overall = ppl_by_frequency(records, FREQ, [0, 10_000])
         assert abs(rows[0][3] - overall) < 1e-9
 
         direction = rng.normal(size=10)

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sublm.analysis import (TokenRecord, default_freq_bins, dump_records,
-                            eval_report, pca_component_counts,
-                            ppl_by_frequency, records_from_eval,
+from sublm.analysis import (default_freq_bins, dump_records, eval_report,
+                            pca_component_counts, ppl_by_frequency,
                             shared_errors, shared_errors_table,
                             vocabulary_embeddings)
 from sublm.composition import ModelSizes, build_composer, uniform_init
@@ -16,12 +15,18 @@ from sublm.lm import LanguageModel, perplexity
 from sublm.syllabify import Segmenter
 
 
-def rec(position, prob, word_id=0, freq=1):
-    return TokenRecord(position, word_id, prob, freq)
+def rec(position, prob, word_id=0):
+    """A scored token as ``evaluate_stream`` returns it."""
+    return (position, word_id, prob)
+
+
+# word frequencies in which each word id is its own training frequency, so a
+# record's word id picks the frequency bin it falls in
+FREQ = np.arange(1000)
 
 
 def random_records(rng, count=1000):
-    return [rec(i, float(p), freq=int(f))
+    return [rec(i, float(p), word_id=int(f))
             for i, (p, f) in enumerate(zip(rng.uniform(1e-6, 1.0, size=count),
                                            rng.integers(0, 500, size=count)))]
 
@@ -43,38 +48,38 @@ class TestSharedErrors:
 
     def test_brute_force_oracle_agreement(self, rng):
         a = random_records(rng, 1000)
-        b = [rec(r.position, float(p), r.word_id, r.freq)
-             for r, p in zip(a, rng.uniform(1e-6, 1.0, size=1000))]
+        b = [rec(pos, float(p), wid)
+             for (pos, wid, _), p in zip(a, rng.uniform(1e-6, 1.0, size=1000))]
         for p_star in (0.001, 0.01, 0.1, 0.5):
             frac, err_a, err_b = shared_errors(a, b, p_star)
             # oracle: explicit set construction
             ea = set()
             eb = set()
-            for r in a:
-                if r.prob < p_star:
-                    ea.add(r.position)
-            for r in b:
-                if r.prob < p_star:
-                    eb.add(r.position)
+            for pos, _, prob in a:
+                if prob < p_star:
+                    ea.add(pos)
+            for pos, _, prob in b:
+                if prob < p_star:
+                    eb.add(pos)
             want = len(ea & eb) / len(ea | eb) if (ea | eb) else 1.0
             assert frac == want
             assert err_a == len(ea) / 1000 and err_b == len(eb) / 1000
 
     def test_shared_set_grows_with_p_star(self, rng):
         a = random_records(rng, 500)
-        b = [rec(r.position, float(p)) for r, p in
+        b = [rec(pos, float(p), wid) for (pos, wid, _), p in
              zip(a, rng.uniform(1e-6, 1.0, size=500))]
         grid = [0.001, 0.01, 0.1, 0.5, 0.9]
         sizes = []
         for p_star in grid:
-            ea = {r.position for r in a if r.prob < p_star}
-            eb = {r.position for r in b if r.prob < p_star}
+            ea = {pos for pos, _, prob in a if prob < p_star}
+            eb = {pos for pos, _, prob in b if prob < p_star}
             sizes.append(len(ea & eb))
         assert sizes == sorted(sizes)
 
     def test_symmetry(self, rng):
         a = random_records(rng, 300)
-        b = [rec(r.position, float(p)) for r, p in
+        b = [rec(pos, float(p), wid) for (pos, wid, _), p in
              zip(a, rng.uniform(1e-6, 1.0, size=300))]
         frac_ab, err_a, err_b = shared_errors(a, b, 0.05)
         frac_ba, err_b2, err_a2 = shared_errors(b, a, 0.05)
@@ -94,15 +99,15 @@ class TestSharedErrors:
 class TestPplByFrequency:
     def test_single_bin_equals_overall(self, rng):
         records = random_records(rng, 400)
-        rows, overall = ppl_by_frequency(records, [0, 10_000])
+        rows, overall = ppl_by_frequency(records, FREQ, [0, 10_000])
         assert rows[0][2] == 400
         assert rows[0][3] == pytest.approx(overall, abs=1e-12)
-        mean_nll = np.mean([-math.log(r.prob) for r in records])
+        mean_nll = np.mean([-math.log(prob) for _, _, prob in records])
         assert overall == pytest.approx(math.exp(mean_nll))
 
     def test_log_weighted_recombination(self, rng):
         records = random_records(rng, 500)
-        rows, overall = ppl_by_frequency(records, [0, 1, 10, 100, 1000])
+        rows, overall = ppl_by_frequency(records, FREQ, [0, 1, 10, 100, 1000])
         total = sum(c for _, _, c, _ in rows)
         acc = sum(c * math.log(p) for _, _, c, p in rows if c)
         assert total == 500
@@ -111,29 +116,29 @@ class TestPplByFrequency:
     def test_hand_computed_bins(self):
         # frozen oracle values: probs e^-1 and e^-3 in the low bin,
         # e^-2 in the high bin
-        records = [rec(0, math.exp(-1), freq=0), rec(1, math.exp(-3), freq=0),
-                   rec(2, math.exp(-2), freq=5)]
-        rows, overall = ppl_by_frequency(records, [0, 1, 10])
+        records = [rec(0, math.exp(-1), word_id=0), rec(1, math.exp(-3), word_id=0),
+                   rec(2, math.exp(-2), word_id=5)]
+        rows, overall = ppl_by_frequency(records, FREQ, [0, 1, 10])
         assert rows[0][3] == pytest.approx(math.exp(2.0))   # mean nll (1+3)/2
         assert rows[1][3] == pytest.approx(math.exp(2.0))   # single token nll 2
         assert overall == pytest.approx(math.exp(2.0))
 
     def test_frequency_outside_bins_rejected(self):
         with pytest.raises(ValueError):
-            ppl_by_frequency([rec(0, 0.5, freq=50)], [0, 10])
+            ppl_by_frequency([rec(0, 0.5, word_id=50)], FREQ, [0, 10])
 
     def test_default_bins_cover(self):
         edges = default_freq_bins(3724)
         assert edges == [0, 1, 10, 100, 1000, 10000]
 
     def test_zero_probability_and_overflow_read_inf(self):
-        rows, overall = ppl_by_frequency([rec(0, 0.0, freq=0), rec(1, 0.5, freq=5),
-                                          rec(2, 1e-310, freq=50)], [0, 1, 10, 100])
+        rows, overall = ppl_by_frequency([rec(0, 0.0, word_id=0), rec(1, 0.5, word_id=5),
+                                          rec(2, 1e-310, word_id=50)], FREQ, [0, 1, 10, 100])
         assert rows[0][3] == math.inf and rows[1][3] == pytest.approx(2.0)
         assert rows[2][3] == math.inf and overall == math.inf
 
     def test_empty_bin_reported(self):
-        rows, _ = ppl_by_frequency([rec(0, 0.5, freq=0)], [0, 1, 10])
+        rows, _ = ppl_by_frequency([rec(0, 0.5, word_id=0)], FREQ, [0, 1, 10])
         assert rows[1] == (1, 10, 0, None)
 
 
@@ -215,14 +220,12 @@ class TestEvalReport:
 
 
 class TestRecords:
-    def test_records_from_eval_attaches_freq(self, rng):
-        text = "x y x z\n"
-        seg = Segmenter("chars")
-        vocabs = build_vocabs(text, seg)
-        raw = [(1, vocabs.word_to_id["x"], 0.25)]
-        records = records_from_eval(raw, vocabs)
-        assert records[0].freq == 2
-        assert records[0].prob == 0.25
+    def test_ppl_by_frequency_bins_the_vocabulary_frequency(self):
+        vocabs = build_vocabs("x y x z\n", Segmenter("chars"))
+        x, y = vocabs.word_to_id["x"], vocabs.word_to_id["y"]  # seen twice and once
+        rows, _ = ppl_by_frequency([rec(1, 0.25, word_id=x), rec(2, 0.5, word_id=y)],
+                                   vocabs.word_freq, [0, 2, 3])
+        assert rows == [(0, 2, 1, pytest.approx(2.0)), (2, 3, 1, pytest.approx(4.0))]
 
     def test_dump_format(self):
         out = dump_records([rec(3, 0.5, word_id=7)])

@@ -99,8 +99,13 @@ class TestMalformed:
         _file(GOOD_HEADER, _array(tag=b"q")),
         _file(GOOD_HEADER, _array(name=b"\xff")),
         _file(GOOD_HEADER, _array(dims=(2 ** 62, 4))),
+        # a zero-size shape passes the byte count whatever its other dims
+        _file(GOOD_HEADER, _array(dims=(0, 2 ** 64 - 1), data=b"")),
+        _file(GOOD_HEADER, _array(dims=(0, 2 ** 62), data=b"")),
+        _file(GOOD_HEADER, _array(dims=(1,) * 65, data=b"\0" * 8)),
     ], ids=["version", "not-an-object", "json", "utf8", "missing-keys",
-            "dtype-tag", "array-name", "huge-dims"])
+            "dtype-tag", "array-name", "huge-dims", "zero-size-dim-beyond-intp",
+            "zero-size-too-big", "65-dims"])
     def test_malformed_file_is_config_error(self, tmp_path, data):
         path = tmp_path / "m.ckpt"
         path.write_bytes(data)

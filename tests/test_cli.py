@@ -744,6 +744,40 @@ class TestDivergence:
         assert not ckpt.exists()
 
 
+OUT_OF_MEMORY = MemoryError("Unable to allocate 3.00 GiB for an array with shape "
+                            "(20, 10, 2013265920) and data type float64")
+
+
+def _raise_out_of_memory(*args, **kwargs):
+    raise OUT_OF_MEMORY
+
+
+class TestOutOfMemory:
+    """A MemoryError exits 4 with one error line; each op is patched to raise
+    it, so nothing large is allocated."""
+
+    def assert_one_error_line(self, capsys):
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error: ")] == [
+            f"error: out of memory: {OUT_OF_MEMORY}"]
+        assert "Traceback" not in err
+
+    def test_train_window(self, tmp_path, rng, capsys, monkeypatch):
+        monkeypatch.setattr(T, "output_nll", _raise_out_of_memory)
+        train_f, valid_f = write_demo_corpus(tmp_path, rng)
+        cfg = write_demo_config(tmp_path, train_f, valid_f)
+        ckpt = tmp_path / "model.ckpt"
+        assert run(["train", "--config", str(cfg), "--out", str(ckpt)]) == 4
+        self.assert_one_error_line(capsys)
+        assert not ckpt.exists()
+
+    def test_params_build(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "build_model", _raise_out_of_memory)
+        cfg = os.path.join(REPO, "configs", "syl-concat-5m.cfg")
+        assert run(["params", "--config", cfg]) == 4
+        self.assert_one_error_line(capsys)
+
+
 def _cut_header(data):
     (header_len,) = struct.unpack("<I", data[4:8])
     return data[:8 + header_len // 2]
@@ -765,6 +799,18 @@ class TestMalformedCheckpoint:
         assert run(["eval", "--checkpoint", str(path), "--corpus", str(corpus)]) == 4
         err = capsys.readouterr().err.splitlines()
         assert any(line.startswith("error: ") for line in err)
+
+    def test_shape_numpy_cannot_make_exits_4(self, tmp_path, capsys):
+        path = tmp_path / "m.ckpt"
+        Checkpoint(config={}, vocab_hashes={}, epoch=0, best_val_ppl=1.0,
+                   arrays={"w": np.zeros((0, 4))}).save(path)
+        # the file ends in the dims of its one zero-size array: make the last one huge
+        path.write_bytes(path.read_bytes()[:-8] + struct.pack("<Q", 2 ** 64 - 1))
+        corpus = tmp_path / "eval.txt"
+        corpus.write_text("a b\n")
+        assert run(["eval", "--checkpoint", str(path), "--corpus", str(corpus)]) == 4
+        assert error_lines(capsys) == [f"error: {path}: malformed checkpoint "
+                                       "(ValueError('Maximum allowed dimension exceeded'))"]
 
     @pytest.mark.parametrize("config, key", [
         (["variant"], "mapping"), ({"lr": "fast"}, "'lr'"), ({"seed": None}, "'seed'"),

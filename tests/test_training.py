@@ -178,8 +178,31 @@ class TestShapeOnlyBuild:
         with pytest.raises(ValueError, match="read-only"):
             shapes.w_out.data -= 1.0
 
+    def test_lstm_biases_do_not_grow_with_d_lm(self, tmp_path, capsys):
+        # syl-concat-5m: every shape-only array is a zero-stride view, the
+        # LSTM biases too.  d_lm = 10**6 comes first, so a build that grows
+        # with d_lm fails there before 10**8 asks for gigabytes.
+        cfg = TrainConfig(variant="syl-concat", d_s=50, d_hw=300, d_lm=10 ** 6)
+        counts = []
+        peak = traced_peak(lambda: counts.append(count_parameters(
+            build_model(cfg, PAPER_SIZES))))
+        assert counts == [12011208791500] and peak < MIB
+        path = tmp_path / "wide.cfg"
+        path.write_text("variant = syl-concat\nd_s = 50\nd_hw = 300\nd_lm = 100000000\n"
+                        "vocab_size = 10000\nsubword_vocab_size = 6000\nmax_subwords = 8\n")
+        assert run(["params", "--config", str(path)]) == 0
+        assert capsys.readouterr().out == "params\t120001120800791500\n"
+
 
 class TestSylCNNWidths:
+    def test_width_beyond_n_lists_no_bank_before_it_is_rejected(self):
+        cfg = TrainConfig(variant="syl-cnn", d_s=50, cnn_max_width=200_000, d_lm=300)
+
+        def build():
+            with pytest.raises(ConfigError, match="filter width 200000 exceeds"):
+                build_model(cfg, PAPER_SIZES)
+        assert traced_peak(build) < MIB
+
     def test_d_hw_picks_the_nearest_depth_unit(self):
         # widths 1..6 take 21 depth units; 300 / 21 rounds to 14, so 294 wide
         cfg = TrainConfig(variant="syl-cnn", d_s=50, d_hw=300, cnn_max_width=6, d_lm=300)
